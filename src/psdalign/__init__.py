@@ -1,6 +1,6 @@
 """PSD-aligned uplink pilot design and MMSE channel estimation toolkit."""
 
-from .bessel import j0
+from .config import ExperimentConfig
 from .estimation import (
     EstimationReport,
     Interferer,
@@ -26,6 +26,7 @@ from .fading import (
     clarke_autocorrelation,
     clarke_psd,
     flat_psd,
+    j0,
     synthesize_realization,
 )
 from .pilots import (
@@ -41,7 +42,6 @@ from .pilots import (
     uniform_capacity,
 )
 from .simkit import (
-    ExperimentConfig,
     RunResult,
     run_downlink,
     run_experiment,

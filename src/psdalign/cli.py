@@ -11,15 +11,16 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+import yaml
 from scipy.linalg import toeplitz
 
 from . import estimation, pilots, simkit
-from .config import ConfigError, dump_config, load_config
+from .config import ConfigError, ExperimentConfig, dump_config, load_config
 from .fading import DopplerSpectrum, build_covariance, clarke_autocorrelation, synthesize_realization
-from .simkit import ExperimentConfig, atomic_write_text
+from .simkit import atomic_write_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,13 +50,8 @@ def _build_parser():
 
 def _load(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.tolerance_scale is not None:
-        overrides["tolerance_scale"] = args.tolerance_scale
+    flags = {"seed": args.seed, "jobs": args.jobs, "tolerance_scale": args.tolerance_scale}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     return replace(config, **overrides) if overrides else config
 
 
@@ -63,12 +59,12 @@ def _load(args):
 # validate
 
 
+@dataclass(frozen=True)
 class Check:
-    def __init__(self, name, measured, target, ok):
-        self.name = name
-        self.measured = measured
-        self.target = target
-        self.ok = ok
+    name: str
+    measured: float
+    target: float
+    ok: bool
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -143,13 +139,11 @@ def _synthesis_autocorr_check(ts, P=512, M=32, seeds=4, max_lag=5):
 
 def _orthogonality_principle_check(ts, P=16, draws=500):
     """Monte-Carlo: the MMSE error is uncorrelated with the observation."""
-    from .pilots import fft_pilot
-
     cov = build_covariance(DopplerSpectrum.clarke(0.05), P)
     scene = estimation.UplinkScene(
         users=(
-            estimation.UplinkUser(1.0, fft_pilot(0, P), cov),
-            estimation.UplinkUser(1.0, fft_pilot(P // 2, P), cov),
+            estimation.UplinkUser(1.0, pilots.fft_pilot(0, P), cov),
+            estimation.UplinkUser(1.0, pilots.fft_pilot(P // 2, P), cov),
         ),
         noise_var=1.0,
     )
@@ -210,8 +204,6 @@ def _cmd_plan(config, out_dir):
     doc = plan.to_dict()
     # shift_cycles drops straight into the pilots.shifts config key
     doc["shift_cycles"] = [s / plan.P for s in plan.shifts]
-    import yaml
-
     atomic_write_text(os.path.join(out_dir, "plan.yaml"), yaml.safe_dump(doc, sort_keys=False))
     return EXIT_OK
 
@@ -224,11 +216,16 @@ def _sweep(config, out_dir, downlink):
     if not config.sweep_lengths:
         print("empty sweep axis: run.sweep_lengths has no entries", file=sys.stderr)
         return EXIT_USAGE
+    # both schemes run at every P: reject a baseline that cannot run before any trial does
+    try:
+        configs = [replace(config, scheme=scheme) for scheme in ("psd_align", "hadamard")]
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    runner = simkit.run_downlink if downlink else simkit.run_uplink
     results = []
     for P in config.sweep_lengths:
-        for scheme in ("psd_align", "hadamard"):
-            cfg = replace(config, scheme=scheme)
-            runner = simkit.run_downlink if downlink else simkit.run_uplink
+        for cfg in configs:
             try:
                 results.append(runner(cfg, P=P))
             except pilots.PlanInfeasibleError as exc:

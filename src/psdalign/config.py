@@ -5,13 +5,117 @@ the pilot scheme, the contamination model, and the run controls. Every field
 has a default matching the shipped scenario, so `{}` is a valid config.
 """
 
-import yaml
+from dataclasses import asdict, dataclass
 
-from .simkit import ExperimentConfig
+import yaml
 
 
 class ConfigError(ValueError):
     """Malformed configuration, with a field-path diagnostic."""
+
+
+# fields given as lists in YAML and JSON, held as tuples so configs hash and compare
+_TUPLE_FIELDS = ("shifts", "sweep_lengths", "contamination_band")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Sounding-experiment description; defaults follow the shipped scenario.
+
+    Frequencies: the channel is sampled once every `sampling_divisor` symbols,
+    so f_s = 1/(sampling_divisor * T_s); with T_s = 66.67 us that is 5 kHz and
+    the normalized Doppler is F = doppler_hz / f_s.
+    """
+
+    symbol_duration_s: float = 66.67e-6
+    sampling_divisor: int = 3
+    doppler_hz: float = 10.0
+    users: int = 8
+    user_power_db: float = 0.0
+    pilot_snr_db: float = 0.0
+    scheme: str = "psd_align"  # "psd_align" | "hadamard"
+    shifts: object = "preset"  # "preset" | "auto" | sequence of cycles (tau/P)
+    contamination_band: tuple | None = (-0.375, 0.375)
+    contamination_inr_db: float | None = 0.0
+    observation_length: int = 4096
+    sweep_lengths: tuple = (512, 1024, 2048, 4096)
+    antennas: int = 16
+    trials: int = 200
+    dl_lag: int = 1
+    dl_snr_db: float | None = None
+    perfect_csi: bool = False
+    channel_model: str = "circulant"  # "circulant" | "exact"
+    seed: int = 20260810
+    jobs: int = 1
+    tolerance_scale: float = 1.0
+
+    def __post_init__(self):
+        if not isinstance(self.sampling_divisor, int) or self.sampling_divisor < 1:
+            raise ValueError(f"sampling_divisor must be an integer >= 1, got {self.sampling_divisor!r}")
+        for name in ("symbol_duration_s", "doppler_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.dl_lag < 0:
+            raise ValueError(f"dl_lag must be >= 0 slots, got {self.dl_lag}")
+        for name in ("users", "trials", "antennas"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"need at least one {name[:-1]}")
+        if self.observation_length < 2:
+            raise ValueError("observation length must be >= 2")
+        if self.scheme not in ("psd_align", "hadamard"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "hadamard" and self.users & (self.users - 1):
+            raise ValueError(f"Hadamard pilots need a power-of-2 user count, got {self.users}")
+        if self.channel_model not in ("circulant", "exact"):
+            raise ValueError(f"unknown channel model {self.channel_model!r}")
+        if self.max_doppler > 0.5:
+            raise ValueError(f"normalized Doppler {self.max_doppler:.4f} exceeds 1/2; raise the sampling frequency")
+        if isinstance(self.shifts, str):
+            if self.shifts not in ("preset", "auto"):
+                raise ValueError("shifts must be 'preset', 'auto', or a sequence of cycles")
+        elif len(self.shifts) != self.users:
+            raise ValueError("per-user shift list length must equal the user count")
+        if self.contamination_band is not None:
+            lo, hi = self.contamination_band
+            if not (-0.5 <= lo < hi <= 0.5):
+                raise ValueError("contamination band must lie in (-1/2, 1/2]")
+
+    @property
+    def sampling_frequency_hz(self):
+        return 1.0 / (self.sampling_divisor * self.symbol_duration_s)
+
+    @property
+    def max_doppler(self):
+        return self.doppler_hz / self.sampling_frequency_hz
+
+    @property
+    def user_power(self):
+        return 10.0 ** (self.user_power_db / 10.0)
+
+    @property
+    def noise_var(self):
+        return self.user_power / 10.0 ** (self.pilot_snr_db / 10.0)
+
+    @property
+    def contamination_power(self):
+        if self.contamination_band is None or self.contamination_inr_db is None:
+            return 0.0
+        return self.user_power * 10.0 ** (self.contamination_inr_db / 10.0)
+
+    def to_dict(self):
+        d = asdict(self)
+        for key in _TUPLE_FIELDS:
+            if isinstance(d[key], tuple):
+                d[key] = list(d[key])
+        return d
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(d)
+        for key in _TUPLE_FIELDS:
+            if isinstance(d.get(key), list):
+                d[key] = tuple(d[key])
+        return cls(**d)
 
 
 _SECTIONS = {
@@ -50,8 +154,6 @@ _SECTIONS = {
     },
 }
 
-_TUPLE_FIELDS = {"contamination_band", "sweep_lengths"}
-
 
 def config_from_mapping(doc):
     """Build an ExperimentConfig from a nested mapping; {} gives the defaults."""
@@ -74,14 +176,9 @@ def config_from_mapping(doc):
                 raise ConfigError(
                     f"unknown key {section}.{key} (expected one of {sorted(fields)})"
                 )
-            name = fields[key]
-            if name in _TUPLE_FIELDS and isinstance(value, list):
-                value = tuple(value)
-            if name == "shifts" and isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
+            kwargs[fields[key]] = value
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig.from_dict(kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

@@ -65,25 +65,26 @@ class UplinkScene:
         return self.users[0].pilot.P
 
 
-def _modulated(R, x):
-    """Diag(x) R Diag(x)^H as an elementwise product."""
-    return R * np.outer(x, np.conj(x))
+def observation_matrix(P, noise_var, terms):
+    """noise_var * I plus power * Diag(x) R Diag(x)^H for each (power, R, x) term.
+
+    A term with x = None adds power * R unmodulated. Terms are consumed one at
+    a time, so a generator keeps only one P x P covariance alive besides the sum.
+    """
+    A = noise_var * np.eye(P, dtype=complex)
+    for power, R, x in terms:
+        if x is not None:
+            R = R * np.outer(x, np.conj(x))
+        # at unit power, skip a P x P temporary that would only copy R
+        A += R if power == 1.0 else power * R
+    return A
 
 
 def observation_covariance(scene):
-    """E[y y^H]: noise + every pilot-modulated user + raw interferers."""
-    P = scene.P
-    A = scene.noise_var * np.eye(P, dtype=complex)
-    for u in scene.users:
-        A += u.power * _modulated(u.covariance.toeplitz(), u.pilot.values)
-    for it in scene.interferers:
-        R = it.covariance.toeplitz()
-        if it.pilot is not None:
-            R = it.power * _modulated(R, it.pilot.values)
-        else:
-            R = it.power * R
-        A += R
-    return A
+    """E[y y^H]: noise + every pilot-modulated user + interferers."""
+    sources = (*scene.users, *scene.interferers)
+    terms = ((u.power, u.covariance.toeplitz(), None if u.pilot is None else u.pilot.values) for u in sources)
+    return observation_matrix(scene.P, scene.noise_var, terms)
 
 
 def _factor_observation(scene):
@@ -220,20 +221,6 @@ def _wrap(xi):
     """Map frequencies to the principal interval (-1/2, 1/2]."""
     out = np.mod(np.asarray(xi, dtype=float) + 0.5, 1.0) - 0.5
     return np.where(out == -0.5, 0.5, out) if np.ndim(out) else (0.5 if out == -0.5 else float(out))
-
-
-def _complement_intervals(supports):
-    """Intervals of (-1/2, 1/2] not covered by the given supports."""
-    pts = sorted(supports)
-    out = []
-    cursor = -0.5
-    for lo, hi in pts:
-        if lo > cursor:
-            out.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < 0.5:
-        out.append((cursor, 0.5))
-    return out
 
 
 def clarke_closed_form(alpha):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import circulant, toeplitz
+from scipy.special import j0
 
-from .bessel import j0
 from .quadrature import oscillatory_nodes
 
 log = logging.getLogger(__name__)
@@ -305,23 +306,13 @@ class ChannelCovariance:
             )
         return clamped
 
-    @cached_property
-    def clamp_mass(self):
-        lam = np.fft.fft(self.circulant_column).real
-        return float(np.clip(lam, 0.0, None).sum() - lam.sum())
-
     def toeplitz(self):
         """Materialize the exact P x P Toeplitz covariance E[h h^H]."""
-        r = np.asarray(self.acf.values, dtype=complex)
-        idx = np.arange(self.P)
-        d = idx[:, None] - idx[None, :]  # l - l'
-        out = np.where(d >= 0, r[np.abs(d)], np.conj(r[np.abs(d)]))
-        return out
+        # first column r(l), first row conj(r(l)) = r(-l)
+        return toeplitz(np.asarray(self.acf.values, dtype=complex))
 
     def circulant(self):
         """Materialize the circulant approximation."""
-        from scipy.linalg import circulant
-
         return circulant(self.circulant_column)
 
 

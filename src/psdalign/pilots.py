@@ -47,10 +47,6 @@ class PilotSequence:
     def P(self):
         return len(self.values)
 
-    def diag(self):
-        """The pilot as the diagonal matrix applied to the channel vector."""
-        return np.diag(self.values)
-
 
 def fft_pilot(shift, P, base=None):
     """Cyclic-shift pilot x(n) = exp(2j*pi*shift*n/P) * base(n).

@@ -49,12 +49,6 @@ def adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
     return recurse(a, b, fixed_gl(f, a, b, n), 0)
 
 
-def integrate_piecewise(f, a, b, breakpoints=(), tol=1e-10, n=20):
-    """Integrate f over [a, b], splitting at the given interior breakpoints."""
-    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    return sum(adaptive_gl(f, lo, hi, tol=tol, n=n) for lo, hi in zip(pts, pts[1:]))
-
-
 def oscillatory_nodes(a, b, omega_max):
     """Composite Gauss-Legendre rule on [a, b] for integrands f(x)*exp(j*w*x).
 

@@ -1,13 +1,20 @@
 """Monte-Carlo harness: multi-user uplink sounding with inter-cell
 contamination, per-user estimation quality, and TDD downlink beamforming.
 
-Two channel-model families are supported. "circulant" (the default) draws
-the window-stationary process whose covariance is the circulant picture the
-large-P analysis works in, and lets the estimator use exactly that model, so
-desk-scale runs converge to the asymptotic formulas. "exact" draws samples
-with the exact Toeplitz statistics of the underlying continuous-time process;
-its window-averaged error converges to the same limit but visibly slower,
-which is itself one of the toolkit's cross-checks.
+Two channel models share one trial path. A model draws a process's window
+and its downlink sample, applies its covariance to a block of estimator
+weights, and provides the P x P covariance that enters the observation
+covariance. Users share one model on the Clarke spectrum; contamination is a
+second instance of the same class on the flat-band spectrum.
+
+- `CirculantModel` (the default) draws the window-stationary process whose
+  covariance is the circulant picture the large-P analysis works in, and lets
+  the estimator use exactly that model, so desk-scale runs converge to the
+  asymptotic formulas.
+- `ExactModel` draws samples with the exact Toeplitz statistics of the
+  underlying continuous-time process; its window-averaged error converges to
+  the same limit but visibly slower, which is itself one of the toolkit's
+  cross-checks.
 """
 
 import json
@@ -16,14 +23,15 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
 
 from . import estimation, pilots
-from .fading import DopplerSpectrum, build_covariance, complex_normal
+from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
+from .fading import DopplerSpectrum, build_covariance, complex_normal, grid_frequencies
 
 log = logging.getLogger(__name__)
 
@@ -32,105 +40,6 @@ MANIFEST_SCHEMA = "psdalign.manifest.v1"
 
 # staggered ladder clearing the default contamination band: 3/8 + k/36
 PRESET_SHIFT_GRID = tuple(3.0 / 8.0 + (k + 1) / 36.0 for k in range(8))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Sounding-experiment description; defaults follow the shipped scenario.
-
-    Frequencies: the channel is sampled once every `sampling_divisor` symbols,
-    so f_s = 1/(sampling_divisor * T_s); with T_s = 66.67 us that is 5 kHz and
-    the normalized Doppler is F = doppler_hz / f_s.
-    """
-
-    symbol_duration_s: float = 66.67e-6
-    sampling_divisor: int = 3
-    doppler_hz: float = 10.0
-    users: int = 8
-    user_power_db: float = 0.0
-    pilot_snr_db: float = 0.0
-    scheme: str = "psd_align"  # "psd_align" | "hadamard"
-    shifts: object = "preset"  # "preset" | "auto" | sequence of cycles (tau/P)
-    contamination_band: tuple | None = (-0.375, 0.375)
-    contamination_inr_db: float | None = 0.0
-    observation_length: int = 4096
-    sweep_lengths: tuple = (512, 1024, 2048, 4096)
-    antennas: int = 16
-    trials: int = 200
-    dl_lag: int = 1
-    dl_snr_db: float | None = None
-    perfect_csi: bool = False
-    channel_model: str = "circulant"  # "circulant" | "exact"
-    seed: int = 20260810
-    jobs: int = 1
-    tolerance_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.users < 1:
-            raise ValueError("need at least one user")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.antennas < 1:
-            raise ValueError("need at least one antenna")
-        if self.observation_length < 2:
-            raise ValueError("observation length must be >= 2")
-        if self.scheme not in ("psd_align", "hadamard"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.channel_model not in ("circulant", "exact"):
-            raise ValueError(f"unknown channel model {self.channel_model!r}")
-        if self.max_doppler > 0.5:
-            raise ValueError(
-                f"normalized Doppler {self.max_doppler:.4f} exceeds 1/2; "
-                "raise the sampling frequency"
-            )
-        if isinstance(self.shifts, str):
-            if self.shifts not in ("preset", "auto"):
-                raise ValueError("shifts must be 'preset', 'auto', or a sequence of cycles")
-        elif len(self.shifts) != self.users:
-            raise ValueError("per-user shift list length must equal the user count")
-        if self.contamination_band is not None:
-            lo, hi = self.contamination_band
-            if not (-0.5 <= lo < hi <= 0.5):
-                raise ValueError("contamination band must lie in (-1/2, 1/2]")
-
-    @property
-    def sampling_frequency_hz(self):
-        return 1.0 / (self.sampling_divisor * self.symbol_duration_s)
-
-    @property
-    def max_doppler(self):
-        return self.doppler_hz / self.sampling_frequency_hz
-
-    @property
-    def user_power(self):
-        return 10.0 ** (self.user_power_db / 10.0)
-
-    @property
-    def noise_var(self):
-        return self.user_power / 10.0 ** (self.pilot_snr_db / 10.0)
-
-    @property
-    def contamination_power(self):
-        if self.contamination_band is None or self.contamination_inr_db is None:
-            return 0.0
-        return self.user_power * 10.0 ** (self.contamination_inr_db / 10.0)
-
-    def to_dict(self):
-        d = asdict(self)
-        for key in ("shifts", "sweep_lengths", "contamination_band"):
-            if isinstance(d[key], tuple):
-                d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("sweep_lengths", "contamination_band"):
-            if key in d and isinstance(d[key], list):
-                d[key] = tuple(d[key])
-        if isinstance(d.get("shifts"), list):
-            d["shifts"] = tuple(d["shifts"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -152,10 +61,6 @@ class RunResult:
     rx_power_per_antenna: float
     trial_seeds: tuple
 
-    @property
-    def nmse_mean(self):
-        return float(np.mean(self.nmse_empirical))
-
 
 def user_shift_cycles(config, P):
     """Per-user cyclic shifts as fractions of the window (tau_k / P)."""
@@ -166,9 +71,7 @@ def user_shift_cycles(config, P):
             grid = [PRESET_SHIFT_GRID[k % 8] + (k // 8) / 36.0 for k in range(config.users)]
             return tuple(g % 1.0 for g in grid)
         bands = [config.contamination_band] if config.contamination_band else []
-        plan = pilots.plan_alignment(
-            [config.max_doppler] * config.users, bands, P, guard=0.0
-        )
+        plan = pilots.plan_alignment([config.max_doppler] * config.users, bands, P, guard=0.0)
         return tuple(s / P for s in plan.shifts)
     return tuple(float(s) % 1.0 for s in config.shifts)
 
@@ -206,169 +109,165 @@ def _model_eigenvalues(spectrum, P):
     return lam
 
 
+class CirculantModel:
+    """Window-stationary draws from the renormalized circulant eigenvalues.
+
+    The downlink sample lies `dl_lag` slots past the window, on the periodic
+    extension. The P x P covariance is built on request and not kept: only
+    the observation covariance needs it.
+    """
+
+    def __init__(self, spectrum, P, dl_lag=0):
+        self.P = P
+        self.lam = _model_eigenvalues(spectrum, P)
+        # row of the inverse unitary DFT at the downlink slot
+        self.dl_phase = np.exp(2j * np.pi * np.arange(P) * (P - 1 + dl_lag) / P) / math.sqrt(P)
+
+    def covariance(self):
+        return circulant(np.fft.ifft(self.lam))
+
+    def draw(self, rng, M):
+        """(P, M) window and (M,) downlink sample of M independent antennas."""
+        coeff = np.sqrt(self.lam)[:, None] * complex_normal(rng, (self.P, M))
+        return math.sqrt(self.P) * np.fft.ifft(coeff, axis=0), self.dl_phase @ coeff
+
+    def apply(self, W):
+        """The covariance times a (P, M) block."""
+        return np.fft.ifft(self.lam[:, None] * np.fft.fft(W, axis=0), axis=0)
+
+    def mse(self, power, noise_var, pilot):
+        """Interference-free per-element MSE of the estimator under this model."""
+        return estimation.mse_from_eigenvalues(self.lam, power, noise_var)
+
+
+class ExactModel:
+    """Exact Toeplitz statistics, drawn from a quadrature of the spectral measure.
+
+    Same interface as CirculantModel. One draw synthesizes the window and the
+    `dl_lag` slots after it, so the downlink sample is exactly as correlated
+    with the window as in the process.
+    """
+
+    def __init__(self, spectrum, P, dl_lag=0):
+        self.P = P
+        self.cov = build_covariance(spectrum, P)
+        self.R = self.cov.toeplitz()
+        xi, self.amp = spectrum.synthesis_nodes(max_lag=P - 1 + dl_lag)
+        self.phases = np.exp(2j * np.pi * np.outer(np.arange(P + dl_lag), xi))
+
+    def covariance(self):
+        return self.R
+
+    def draw(self, rng, M):
+        block = self.phases @ (self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
+        return block[: self.P], block[-1]
+
+    def apply(self, W):
+        return self.R @ W
+
+    def mse(self, power, noise_var, pilot):
+        user = estimation.UplinkUser(power, pilot, self.cov)
+        return estimation.error_covariance(estimation.UplinkScene(users=(user,), noise_var=noise_var), 0)[1]
+
+
+_MODELS = {"circulant": CirculantModel, "exact": ExactModel}
+
+
+def _contamination_spectrum(config):
+    """Flat-band spectrum of the inter-cell contamination; None when it is off."""
+    if not config.contamination_power > 0:
+        return None
+    lo, hi = config.contamination_band
+    return DopplerSpectrum.flat_band(lo, hi, power=config.contamination_power)
+
+
+def _observation_terms(s):
+    """The (power, covariance, pilot) terms of E[y y^H], in observation_matrix's form."""
+    R = s.user.covariance()
+    for x in s.pilot_matrix:
+        yield s.rho, R, x
+    del R  # so that a circulant model holds one P x P covariance at a time
+    if s.cont is not None:
+        yield 1.0, s.cont.covariance(), None  # its power is part of its spectrum
+
+
 def _setup(config, P):
     """Precompute everything shared by all trials of one (scheme, P) run."""
-    s = SimpleNamespace()
-    s.scheme = config.scheme
-    s.K = config.users
-    s.rho = config.user_power
-    s.sigma2 = config.noise_var
-    s.F = config.max_doppler
-    s.model = config.channel_model
-    s.dl_lag = config.dl_lag
-    s.M = config.antennas
-    s.perfect_csi = config.perfect_csi
-    rho_dl = config.user_power
-    s.sigma2_dl = (
-        rho_dl / 10.0 ** (config.dl_snr_db / 10.0) if config.dl_snr_db is not None else config.noise_var
-    )
-    s.rho_dl = rho_dl
-
     if config.scheme == "hadamard":
-        s.P = config.users
-        s.pilots = pilots.hadamard_pilots(config.users)
+        P = config.users
+        sequences = pilots.hadamard_pilots(P)
     else:
-        s.P = P
-        cycles = user_shift_cycles(config, P)
-        s.pilots = [pilots.fft_pilot((c * P) % P, P) for c in cycles]
-
-    spectrum = DopplerSpectrum.clarke(s.F)
-    cont_spectrum = None
-    if config.contamination_power > 0:
-        lo, hi = config.contamination_band
-        cont_spectrum = DopplerSpectrum.flat_band(lo, hi, power=config.contamination_power)
-
-    n_dl = s.P - 1 + config.dl_lag
-
-    if s.model == "circulant":
-        s.lam_user = _model_eigenvalues(spectrum, s.P)
-        s.lam_cont = _model_eigenvalues(cont_spectrum, s.P) if cont_spectrum else None
-        C = circulant(np.fft.ifft(s.lam_user))
-        A = s.sigma2 * np.eye(s.P, dtype=complex)
-        for pilot in s.pilots:
-            x = pilot.values
-            A += s.rho * (C * np.outer(x, np.conj(x)))
-        if s.lam_cont is not None:
-            A += circulant(np.fft.ifft(s.lam_cont))
-        s.factor = cho_factor(A, lower=True)
-        # DL phase row of the inverse unitary DFT at the downlink slot
-        s.dl_phase = np.exp(2j * np.pi * np.arange(s.P) * n_dl / s.P) / math.sqrt(s.P)
-        s.nmse_model = estimation.mse_from_eigenvalues(s.lam_user, s.rho, s.sigma2)
-    else:
-        cov = build_covariance(spectrum, s.P)
-        s.R = cov.toeplitz().astype(complex)
-        xi_u, amp_u = spectrum.synthesis_nodes(max_lag=n_dl)
-        s.synth_user = (np.exp(2j * np.pi * np.outer(np.arange(n_dl + 1), xi_u)), amp_u)
-        if cont_spectrum is not None:
-            xi_c, amp_c = cont_spectrum.synthesis_nodes(max_lag=s.P - 1)
-            s.synth_cont = (np.exp(2j * np.pi * np.outer(np.arange(s.P), xi_c)), amp_c)
-        else:
-            s.synth_cont = None
-        A = s.sigma2 * np.eye(s.P, dtype=complex)
-        for pilot in s.pilots:
-            x = pilot.values
-            A += s.rho * (s.R * np.outer(x, np.conj(x)))
-        if cont_spectrum is not None:
-            s.R_cont = build_covariance(cont_spectrum, s.P).toeplitz().astype(complex)
-            A += s.R_cont
-        s.factor = cho_factor(A, lower=True)
-        _, s.nmse_model = estimation.error_covariance(
-            estimation.UplinkScene(
-                users=(estimation.UplinkUser(s.rho, s.pilots[0], cov),),
-                noise_var=s.sigma2,
-            ),
-            0,
-        )
-
-    s.nmse_analytic = estimation.small_alpha_mse(s.F, s.rho / s.sigma2)
-    s.gain_analytic_db = estimation.processing_gain_db(s.F, s.rho / s.sigma2)
-    s.pilot_matrix = np.stack([p.values for p in s.pilots])  # (K, P)
+        sequences = [pilots.fft_pilot((c * P) % P, P) for c in user_shift_cycles(config, P)]
+    model = _MODELS[config.channel_model]
+    cont = _contamination_spectrum(config)
+    s = SimpleNamespace(P=P, K=config.users, M=config.antennas, perfect_csi=config.perfect_csi)
+    s.rho = s.rho_dl = config.user_power
+    s.sigma2 = config.noise_var
+    s.sigma2_dl = s.sigma2 if config.dl_snr_db is None else s.rho_dl / 10.0 ** (config.dl_snr_db / 10.0)
+    s.pilot_matrix = np.stack([p.values for p in sequences])  # (K, P)
+    s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag)
+    s.cont = None if cont is None else model(cont, P)
+    s.factor = cho_factor(estimation.observation_matrix(P, s.sigma2, _observation_terms(s)), lower=True)
+    s.nmse_model = s.user.mse(s.rho, s.sigma2, sequences[0])
+    snr = s.rho / s.sigma2
+    s.nmse_analytic = estimation.small_alpha_mse(config.max_doppler, snr)
+    s.gain_analytic_db = estimation.processing_gain_db(config.max_doppler, snr)
     return s
 
 
-def _apply_user_covariance(s, W):
-    """Multiply the user-channel model covariance onto a (P, M) block."""
-    if s.model == "circulant":
-        return np.fft.ifft(s.lam_user[:, None] * np.fft.fft(W, axis=0), axis=0)
-    return s.R @ W
-
-
 def _trial(s, rng, include_dl):
-    P, M, K = s.P, s.M, s.K
     # fixed draw order: users, then contamination, then noise
-    h_all = []
-    h_dl = []
-    for _ in range(K):
-        if s.model == "circulant":
-            g = complex_normal(rng, (P, M))
-            coeff = np.sqrt(s.lam_user)[:, None] * g
-            h_all.append(math.sqrt(P) * np.fft.ifft(coeff, axis=0))
-            if include_dl:
-                h_dl.append(s.dl_phase @ coeff)
-        else:
-            phases, amp = s.synth_user
-            g = complex_normal(rng, (amp.size, M))
-            block = phases @ (amp[:, None] * g)
-            h_all.append(block[:P])
-            if include_dl:
-                h_dl.append(block[-1])
-    y = np.zeros((P, M), dtype=complex)
-    for k in range(K):
-        y += math.sqrt(s.rho) * s.pilot_matrix[k][:, None] * h_all[k]
-    if s.model == "circulant":
-        if s.lam_cont is not None:
-            g = complex_normal(rng, (P, M))
-            y += math.sqrt(P) * np.fft.ifft(np.sqrt(s.lam_cont)[:, None] * g, axis=0)
-    elif s.synth_cont is not None:
-        phases, amp = s.synth_cont
-        g = complex_normal(rng, (amp.size, M))
-        y += phases @ (amp[:, None] * g)
-    y += math.sqrt(s.sigma2) * complex_normal(rng, (P, M))
+    draws = [s.user.draw(rng, s.M) for _ in range(s.K)]
+    y = np.zeros((s.P, s.M), dtype=complex)
+    for x, (h, _) in zip(s.pilot_matrix, draws):
+        y += math.sqrt(s.rho) * x[:, None] * h
+    if s.cont is not None:
+        y += s.cont.draw(rng, s.M)[0]
+    y += math.sqrt(s.sigma2) * complex_normal(rng, (s.P, s.M))
 
     rx_power = float(np.mean(np.abs(y) ** 2))
 
     Z = cho_solve(s.factor, y)
-    nmse = np.empty(K)
+    nmse = np.empty(s.K)
     estimates_dl = []
-    for k in range(K):
-        W = np.conj(s.pilot_matrix[k])[:, None] * Z
-        h_hat = math.sqrt(s.rho) * _apply_user_covariance(s, W)
-        err = h_all[k] - h_hat
+    for k, (x, (h, _)) in enumerate(zip(s.pilot_matrix, draws)):
+        h_hat = math.sqrt(s.rho) * s.user.apply(np.conj(x)[:, None] * Z)
         # per-element error power == ||err||^2 / (P * r0) per antenna with r0 = 1
-        nmse[k] = float(np.mean(np.abs(err) ** 2))
-        if include_dl:
-            estimates_dl.append(h_all[k][-1] if s.perfect_csi else h_hat[-1])
+        nmse[k] = float(np.mean(np.abs(h - h_hat) ** 2))
+        estimates_dl.append(h[-1] if s.perfect_csi else h_hat[-1])
 
     out = {"nmse": nmse, "rx_power": rx_power}
     if include_dl:
-        se = np.zeros(K)
-        beams = []
-        active = []
-        for k in range(K):
-            norm = np.linalg.norm(estimates_dl[k])
-            if norm == 0.0:
-                log.warning("zero-norm estimate for user %d; skipping its beam", k)
-                beams.append(None)
-                continue
-            beams.append(estimates_dl[k] / norm)
-            active.append(k)
-        for k in active:
-            truth = h_dl[k]
-            sig = s.rho_dl * abs(np.vdot(truth, beams[k])) ** 2
-            interf = sum(
-                s.rho_dl * abs(np.vdot(truth, beams[g])) ** 2 for g in active if g != k
-            )
-            se[k] = math.log2(1.0 + sig / (interf + s.sigma2_dl))
-        out["se"] = se
+        truths = np.stack([h_dl for _, h_dl in draws])
+        out["se"] = _matched_filter_se(s, truths, np.stack(estimates_dl))
     return out
 
 
-def _halfwidth(samples, axis=0):
-    samples = np.asarray(samples)
-    n = samples.shape[axis]
-    if n < 2:
-        return np.zeros(np.delete(samples.shape, axis))
-    return 1.96 * samples.std(axis=axis, ddof=1) / math.sqrt(n)
+def _matched_filter_se(s, truths, estimates):
+    """Per-user downlink SE of matched-filter beams steered by the (K, M) estimates.
+
+    A user whose estimate is exactly zero gets no beam: its SE is 0 and it
+    interferes with no one.
+    """
+    norms = np.linalg.norm(estimates, axis=1)
+    for k in np.flatnonzero(norms == 0.0):
+        log.warning("zero-norm estimate for user %d; skipping its beam", k)
+    active = norms != 0.0
+    beams = estimates[active] / norms[active, None]
+    # gain[k, g] = rho_dl |h_k^H w_g|^2 between the active users
+    gain = s.rho_dl * np.abs(np.conj(truths[active]) @ beams.T) ** 2
+    signal = np.diag(gain)
+    interference = (gain - np.diag(signal)).sum(axis=1)
+    se = np.zeros(s.K)
+    se[active] = np.log2(1.0 + signal / (interference + s.sigma2_dl))
+    return se
+
+
+def _halfwidth(samples):
+    """95% confidence half-width of the mean over axis 0; zero below two samples."""
+    if len(samples) < 2:
+        return np.zeros(samples.shape[1:])
+    return 1.96 * samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
 
 
 def run_experiment(config, P=None, include_dl=True):
@@ -393,34 +292,28 @@ def run_experiment(config, P=None, include_dl=True):
         outs = [one(t) for t in range(config.trials)]
 
     nmse_trials = np.stack([o["nmse"] for o in outs])
-    nmse_mean = nmse_trials.mean(axis=0)
-    nmse_hw = _halfwidth(nmse_trials)
     snr = s.rho / s.sigma2
     gain_trials = (1.0 / nmse_trials - 1.0) / snr
     gain_db = 10.0 * np.log10(gain_trials.mean(axis=0))
     gain_hw_db = 10.0 / math.log(10.0) * _halfwidth(gain_trials) / gain_trials.mean(axis=0)
 
+    dl_per_user = dl_se_sum = dl_se_hw = None
     if include_dl:
         se_trials = np.stack([o["se"] for o in outs])
-        se_user = se_trials.mean(axis=0)
         se_sum_trials = se_trials.sum(axis=1)
+        dl_per_user = tuple(se_trials.mean(axis=0).tolist())
         dl_se_sum = float(se_sum_trials.mean())
         dl_se_hw = float(_halfwidth(se_sum_trials))
-        dl_per_user = tuple(float(v) for v in se_user)
-    else:
-        dl_per_user = None
-        dl_se_sum = None
-        dl_se_hw = None
 
     return RunResult(
         scheme=config.scheme,
         P=s.P,
-        nmse_empirical=tuple(float(v) for v in nmse_mean),
-        nmse_halfwidth=tuple(float(v) for v in nmse_hw),
+        nmse_empirical=tuple(nmse_trials.mean(axis=0).tolist()),
+        nmse_halfwidth=tuple(_halfwidth(nmse_trials).tolist()),
         nmse_analytic=float(s.nmse_analytic),
         nmse_model=float(s.nmse_model),
-        gain_empirical_db=tuple(float(v) for v in gain_db),
-        gain_halfwidth_db=tuple(float(v) for v in gain_hw_db),
+        gain_empirical_db=tuple(gain_db.tolist()),
+        gain_halfwidth_db=tuple(gain_hw_db.tolist()),
         gain_analytic_db=s.gain_analytic_db,
         dl_se_per_user=dl_per_user,
         dl_se_sum=dl_se_sum,
@@ -437,10 +330,7 @@ def run_uplink(config, P=None):
 
 def _shifted_psd_samples(spectrum, P, shift_cycles):
     """Grid samples of a spectrum translated on the frequency circle."""
-    from .estimation import _wrap
-    from .fading import grid_frequencies
-
-    xi = _wrap(grid_frequencies(P) - shift_cycles)
+    xi = estimation._wrap(grid_frequencies(P) - shift_cycles)
     vals = np.atleast_1d(spectrum.psd(xi))
     # a singular band edge landing exactly on a bin carries no mass
     return np.where(np.isfinite(vals), vals, 0.0)
@@ -458,13 +348,8 @@ def user_reports(config, result=None, P=None):
     snr = rho / sigma2
     spectrum = DopplerSpectrum.clarke(F)
     lam = spectrum.sample_eigenvalues(P)
-    cycles = user_shift_cycles(config, P)
-    if cycles is None:
-        cycles = (0.0,) * config.users
-    cont = None
-    if config.contamination_power > 0:
-        lo, hi = config.contamination_band
-        cont = DopplerSpectrum.flat_band(lo, hi, power=config.contamination_power)
+    cycles = user_shift_cycles(config, P) or (0.0,) * config.users
+    cont = _contamination_spectrum(config)
     alpha = math.pi * F / snr
     reports = []
     for k in range(config.users):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from psdalign.bessel import j0
+from psdalign.fading import j0
 
 
 def series_oracle(x, terms=50):
@@ -27,7 +27,8 @@ def test_matches_power_series_below_eight():
 def test_matches_mpmath_globally():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    xs = np.concatenate([np.linspace(0.0, 30.0, 301), np.geomspace(30.0, 5000.0, 80)])
+    # up to 2.6e4 ~ 2*pi * F * P at F = 1/2, P = 8192: every argument the Clarke model forms
+    xs = np.concatenate([np.linspace(0.0, 30.0, 301), np.geomspace(30.0, 2.6e4, 120)])
     worst = max(abs(j0(float(x)) - float(mp.besselj(0, mp.mpf(float(x))))) for x in xs)
     assert worst < 1e-12
 

@@ -147,10 +147,25 @@ class TestCli:
         assert "sweep" in capsys.readouterr().err
 
     def test_config_error_exit_two(self, tmp_path, capsys):
-        doc = {"users": {"doppler_hz": 99999}}
-        code = main(["validate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        # every bad value is rejected before the first trial; the cases loop
+        # inside one test so its id stays stable
+        cases = {
+            "doppler_above_nyquist": {"users": {"doppler_hz": 99999}},
+            "zero_sampling_divisor": {"system": {"sampling_divisor": 0}},
+            "negative_symbol_duration": {"system": {"symbol_duration_s": -1.0e-4}},
+            "zero_doppler": {"users": {"doppler_hz": 0}},
+            "negative_dl_lag": {"run": {"dl_lag": -3}},
+            "hadamard_user_count_not_power_of_two": {"users": {"count": 3}},
+        }
+        for name, bad in cases.items():
+            doc = dict(TINY)
+            for section, body in bad.items():
+                doc[section] = {**TINY.get(section, {}), **body}
+            out = tmp_path / name
+            code = main(["sweep-mse", "--config", write_config(tmp_path, doc, f"{name}.yaml"), "--out", str(out)])
+            assert code == 2, name
+            assert "config error" in capsys.readouterr().err, name
+            assert not (out / "mse.csv").exists(), name
 
     def test_validate_passes_at_default_tolerances(self, tmp_path, capsys):
         out = tmp_path / "o"

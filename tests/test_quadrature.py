@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from psdalign.quadrature import adaptive_gl, fixed_gl, integrate_piecewise, oscillatory_nodes
+from psdalign.quadrature import adaptive_gl, fixed_gl, oscillatory_nodes
 
 
 def test_polynomial_exact():
@@ -12,11 +12,6 @@ def test_adaptive_handles_peaked_integrand():
     # narrow Gaussian, analytic value
     val = adaptive_gl(lambda x: np.exp(-((x - 0.3) ** 2) * 1e4), -1, 1, tol=1e-12)
     assert abs(val - np.sqrt(np.pi) / 100) < 1e-10
-
-
-def test_piecewise_splits_kinks():
-    val = integrate_piecewise(np.abs, -1, 1, breakpoints=[0.0], tol=1e-12)
-    assert abs(val - 1.0) < 1e-12
 
 
 def test_oscillatory_rule_resolves_all_frequencies():
