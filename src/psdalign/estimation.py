@@ -80,6 +80,24 @@ def observation_matrix(P, noise_var, terms):
     return A
 
 
+def observation_column(P, noise_var, terms):
+    """First column of observation_matrix, for exponential-ramp pilots.
+
+    Each (power, r, x) term carries the first column r of its Hermitian
+    Toeplitz covariance. With x(n) = c exp(2j*pi*tau*n/P), |c| = 1, the term
+    Diag(x) R Diag(x)^H is Hermitian Toeplitz again, with first column
+    x * conj(x[0]) * r; so is the sum. For other pilots the result is only
+    the first column of a matrix that is not Toeplitz.
+    """
+    a = np.zeros(P, dtype=complex)
+    a[0] = noise_var
+    for power, r, x in terms:
+        if x is not None:
+            r = r * (x * np.conj(x[0]))
+        a += power * r
+    return a
+
+
 def observation_covariance(scene):
     """E[y y^H]: noise + every pilot-modulated user + interferers."""
     sources = (*scene.users, *scene.interferers)

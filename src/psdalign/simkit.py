@@ -3,9 +3,15 @@ contamination, per-user estimation quality, and TDD downlink beamforming.
 
 Two channel models share one trial path. A model draws a process's window
 and its downlink sample, applies its covariance to a block of estimator
-weights, and provides the P x P covariance that enters the observation
-covariance. Users share one model on the Clarke spectrum; contamination is a
-second instance of the same class on the flat-band spectrum.
+weights, and provides that covariance, as the first column of the Hermitian
+Toeplitz matrix or as the P x P matrix, for the observation covariance. Users
+share one model on the Clarke spectrum; contamination is a second instance of
+the same class on the flat-band spectrum.
+
+With exponential-ramp (PSD-aligned) pilots the observation covariance is
+Hermitian Toeplitz, and trials solve with its Gohberg-Semencul inverse
+(`psdalign.toeplitz`): no P x P array is formed. Other pilots (Hadamard)
+factor the dense matrix by Cholesky.
 
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
@@ -32,6 +38,7 @@ from scipy.linalg import cho_factor, cho_solve, circulant
 from . import estimation, pilots
 from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
 from .fading import DopplerSpectrum, build_covariance, complex_normal, grid_frequencies
+from .toeplitz import HermitianToeplitz, ToeplitzInverse
 
 log = logging.getLogger(__name__)
 
@@ -114,7 +121,7 @@ class CirculantModel:
 
     The downlink sample lies `dl_lag` slots past the window, on the periodic
     extension. The P x P covariance is built on request and not kept: only
-    the observation covariance needs it.
+    the dense observation covariance needs it.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
@@ -123,8 +130,12 @@ class CirculantModel:
         # row of the inverse unitary DFT at the downlink slot
         self.dl_phase = np.exp(2j * np.pi * np.arange(P) * (P - 1 + dl_lag) / P) / math.sqrt(P)
 
+    def column(self):
+        """First column of the circulant covariance."""
+        return np.fft.ifft(self.lam)
+
     def covariance(self):
-        return circulant(np.fft.ifft(self.lam))
+        return circulant(self.column())
 
     def draw(self, rng, M):
         """(P, M) window and (M,) downlink sample of M independent antennas."""
@@ -135,7 +146,7 @@ class CirculantModel:
         """The covariance times a (P, M) block."""
         return np.fft.ifft(self.lam[:, None] * np.fft.fft(W, axis=0), axis=0)
 
-    def mse(self, power, noise_var, pilot):
+    def mse(self, power, noise_var):
         """Interference-free per-element MSE of the estimator under this model."""
         return estimation.mse_from_eigenvalues(self.lam, power, noise_var)
 
@@ -145,29 +156,41 @@ class ExactModel:
 
     Same interface as CirculantModel. One draw synthesizes the window and the
     `dl_lag` slots after it, so the downlink sample is exactly as correlated
-    with the window as in the process.
+    with the window as in the process. The P x P covariance is built on
+    request only.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
         self.P = P
         self.cov = build_covariance(spectrum, P)
-        self.R = self.cov.toeplitz()
+        self.toeplitz = HermitianToeplitz(self.column())
         xi, self.amp = spectrum.synthesis_nodes(max_lag=P - 1 + dl_lag)
         self.phases = np.exp(2j * np.pi * np.outer(np.arange(P + dl_lag), xi))
 
+    def column(self):
+        """First column of the Toeplitz covariance: the autocorrelation at lags 0..P-1."""
+        return np.asarray(self.cov.acf.values, dtype=complex)
+
     def covariance(self):
-        return self.R
+        return self.cov.toeplitz()
 
     def draw(self, rng, M):
         block = self.phases @ (self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
         return block[: self.P], block[-1]
 
     def apply(self, W):
-        return self.R @ W
+        return self.toeplitz.matvec(W)
 
-    def mse(self, power, noise_var, pilot):
-        user = estimation.UplinkUser(power, pilot, self.cov)
-        return estimation.error_covariance(estimation.UplinkScene(users=(user,), noise_var=noise_var), 0)[1]
+    def mse(self, power, noise_var):
+        """Interference-free per-element MSE: sigma^2 (P - sigma^2 tr(B^{-1})) / (rho P).
+
+        B = sigma^2 I + rho R is the single-user observation covariance; a
+        unit-modulus pilot cancels from the error covariance
+        R - rho R B^{-1} R = (sigma^2 / rho)(I - sigma^2 B^{-1}).
+        """
+        B = estimation.observation_column(self.P, noise_var, [(power, self.column(), None)])
+        inverse = ToeplitzInverse(B)
+        return noise_var * (self.P - noise_var * inverse.trace()) / (power * self.P)
 
 
 _MODELS = {"circulant": CirculantModel, "exact": ExactModel}
@@ -181,14 +204,26 @@ def _contamination_spectrum(config):
     return DopplerSpectrum.flat_band(lo, hi, power=config.contamination_power)
 
 
-def _observation_terms(s):
-    """The (power, covariance, pilot) terms of E[y y^H], in observation_matrix's form."""
-    R = s.user.covariance()
+def _observation_terms(s, part):
+    """The (power, covariance, pilot) terms of E[y y^H].
+
+    `part` names the model method giving each covariance: "column" for
+    estimation.observation_column, "covariance" for observation_matrix.
+    """
+    R = getattr(s.user, part)()
     for x in s.pilot_matrix:
         yield s.rho, R, x
     del R  # so that a circulant model holds one P x P covariance at a time
     if s.cont is not None:
-        yield 1.0, s.cont.covariance(), None  # its power is part of its spectrum
+        yield 1.0, getattr(s.cont, part)(), None  # its power is part of its spectrum
+
+
+def _ramp_pilots(sequences):
+    """Whether every pilot is an exponential ramp over a constant base.
+
+    Then E[y y^H] is Hermitian Toeplitz and its first column determines it.
+    """
+    return all(p.shift is not None and np.all(p.base == p.base[0]) for p in sequences)
 
 
 def _setup(config, P):
@@ -207,8 +242,14 @@ def _setup(config, P):
     s.pilot_matrix = np.stack([p.values for p in sequences])  # (K, P)
     s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag)
     s.cont = None if cont is None else model(cont, P)
-    s.factor = cho_factor(estimation.observation_matrix(P, s.sigma2, _observation_terms(s)), lower=True)
-    s.nmse_model = s.user.mse(s.rho, s.sigma2, sequences[0])
+    if _ramp_pilots(sequences):
+        column = estimation.observation_column(P, s.sigma2, _observation_terms(s, "column"))
+        s.solve = ToeplitzInverse(column).solve
+    else:
+        A = estimation.observation_matrix(P, s.sigma2, _observation_terms(s, "covariance"))
+        factor = cho_factor(A, lower=True)
+        s.solve = lambda y: cho_solve(factor, y)
+    s.nmse_model = s.user.mse(s.rho, s.sigma2)
     snr = s.rho / s.sigma2
     s.nmse_analytic = estimation.small_alpha_mse(config.max_doppler, snr)
     s.gain_analytic_db = estimation.processing_gain_db(config.max_doppler, snr)
@@ -227,7 +268,7 @@ def _trial(s, rng, include_dl):
 
     rx_power = float(np.mean(np.abs(y) ** 2))
 
-    Z = cho_solve(s.factor, y)
+    Z = s.solve(y)
     nmse = np.empty(s.K)
     estimates_dl = []
     for k, (x, (h, _)) in enumerate(zip(s.pilot_matrix, draws)):
@@ -270,6 +311,11 @@ def _halfwidth(samples):
     return 1.96 * samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
 
 
+def _with_none(values, keep):
+    """values as a tuple of floats, None where keep is False."""
+    return tuple(float(v) if k else None for v, k in zip(values, keep))
+
+
 def run_experiment(config, P=None, include_dl=True):
     """Run one (scheme, P) experiment; returns a RunResult.
 
@@ -294,8 +340,17 @@ def run_experiment(config, P=None, include_dl=True):
     nmse_trials = np.stack([o["nmse"] for o in outs])
     snr = s.rho / s.sigma2
     gain_trials = (1.0 / nmse_trials - 1.0) / snr
-    gain_db = 10.0 * np.log10(gain_trials.mean(axis=0))
-    gain_hw_db = 10.0 / math.log(10.0) * _halfwidth(gain_trials) / gain_trials.mean(axis=0)
+    gain_mean = gain_trials.mean(axis=0)
+    # a mean gain <= 0 has no dB value; such users get None, written as nan
+    has_gain = gain_mean > 0
+    if not has_gain.all():
+        log.warning(
+            "no processing gain (mean gain <= 0) for users %s at P=%d; gain written as nan",
+            np.flatnonzero(~has_gain).tolist(), s.P,
+        )
+    gain_mean = np.where(has_gain, gain_mean, 1.0)
+    gain_db = 10.0 * np.log10(gain_mean)
+    gain_hw_db = 10.0 / math.log(10.0) * _halfwidth(gain_trials) / gain_mean
 
     dl_per_user = dl_se_sum = dl_se_hw = None
     if include_dl:
@@ -312,8 +367,8 @@ def run_experiment(config, P=None, include_dl=True):
         nmse_halfwidth=tuple(_halfwidth(nmse_trials).tolist()),
         nmse_analytic=float(s.nmse_analytic),
         nmse_model=float(s.nmse_model),
-        gain_empirical_db=tuple(gain_db.tolist()),
-        gain_halfwidth_db=tuple(gain_hw_db.tolist()),
+        gain_empirical_db=_with_none(gain_db, has_gain),
+        gain_halfwidth_db=_with_none(gain_hw_db, has_gain),
         gain_analytic_db=s.gain_analytic_db,
         dl_se_per_user=dl_per_user,
         dl_se_sum=dl_se_sum,
@@ -459,7 +514,7 @@ def write_aggregate_dat(results, path):
             else:
                 row += [
                     _fmt(np.mean(r.nmse_empirical)),
-                    _fmt(np.mean(r.gain_empirical_db)),
+                    _fmt(None if None in r.gain_empirical_db else np.mean(r.gain_empirical_db)),
                     _fmt(r.dl_se_sum),
                 ]
         lines.append(" ".join(row))

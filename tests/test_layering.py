@@ -12,7 +12,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "psdalign"
 
 # the lower layers: numerics that know nothing of the simulator or the CLI
-LOWER = ("fading", "pilots", "quadrature", "estimation")
+LOWER = ("fading", "pilots", "quadrature", "estimation", "toeplitz")
 
 
 def psdalign_imports(path):
@@ -45,6 +45,10 @@ def test_every_layer_is_scanned():
 
 def test_config_imports_no_psdalign_module():
     assert IMPORTS["config"] == set()
+
+
+def test_toeplitz_imports_no_psdalign_module():
+    assert IMPORTS["toeplitz"] == set()
 
 
 @pytest.mark.parametrize("module", LOWER)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from psdalign import simkit
+from psdalign import estimation, fading, pilots, simkit
 from psdalign.fading import DopplerSpectrum
 from psdalign.simkit import (
     ExperimentConfig,
@@ -176,6 +176,17 @@ class TestDownlink:
         hw_base = 1.96 * float(np.std(ses, ddof=1)) / math.sqrt(len(ses))
         assert abs(r.dl_se_sum - baseline) < (r.dl_se_halfwidth + hw_base) * 1.5
 
+    def test_no_gain_users_get_none_not_nan(self, caplog):
+        # at -60 dB pilot SNR some users' mean gain over 3 trials is negative
+        with caplog.at_level(logging.WARNING, logger="psdalign.simkit"):
+            r = run_uplink(ExperimentConfig(pilot_snr_db=-60.0, trials=3, antennas=4), 256)
+        no_gain = [k for k, g in enumerate(r.gain_empirical_db) if g is None]
+        assert no_gain, "the scene no longer produces a non-positive mean gain"
+        assert all(r.gain_halfwidth_db[k] is None for k in no_gain)
+        assert all(math.isfinite(g) for g in r.gain_empirical_db + r.gain_halfwidth_db if g is not None)
+        warnings = [rec.message for rec in caplog.records if "no processing gain" in rec.message]
+        assert len(warnings) == 1 and str(no_gain) in warnings[0]
+
     def test_zero_norm_estimate_skipped_with_warning(self, caplog):
         cfg = small_config(users=2, trials=1, observation_length=64)
         s = simkit._setup(cfg, 64)
@@ -209,6 +220,52 @@ class TestSchemes:
         with pytest.raises(Exception) as err:
             run_uplink(cfg)
         assert "width" in str(err.value) or "feasible" in str(err.value)
+
+
+class TestStructuredSolver:
+    @staticmethod
+    def dense_calls(monkeypatch, config):
+        """Names of the dense builders and factorizations _setup calls."""
+        calls = []
+        for owner, name in ((fading.ChannelCovariance, "toeplitz"), (simkit, "circulant"), (simkit, "cho_factor")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        simkit._setup(config, config.observation_length)
+        return calls
+
+    @pytest.mark.parametrize("channel_model", ["circulant", "exact"])
+    def test_ramp_pilots_build_no_dense_matrix(self, monkeypatch, channel_model):
+        cfg = small_config(channel_model=channel_model, observation_length=256)
+        assert self.dense_calls(monkeypatch, cfg) == []
+
+    @pytest.mark.parametrize("channel_model", ["circulant", "exact"])
+    def test_hadamard_pilots_factor_densely(self, monkeypatch, channel_model):
+        cfg = small_config(channel_model=channel_model, scheme="hadamard")
+        assert self.dense_calls(monkeypatch, cfg).count("cho_factor") == 1
+
+    def test_only_constant_base_ramps_are_toeplitz(self):
+        P = 16
+        ramps = [pilots.fft_pilot(s, P, np.full(P, 1j)) for s in (0.5, 3.25)]
+        assert simkit._ramp_pilots(ramps)
+        base = np.exp(2j * np.pi * np.arange(P) ** 2 / P)
+        assert not simkit._ramp_pilots([pilots.fft_pilot(0.5, P, base)])
+        assert not simkit._ramp_pilots(pilots.hadamard_pilots(4))
+
+    @pytest.mark.parametrize("pilot_snr_db", [-10.0, 0.0, 20.0])
+    def test_exact_model_mse_matches_dense_error_covariance(self, pilot_snr_db):
+        cfg = ExperimentConfig(pilot_snr_db=pilot_snr_db)
+        P = 128
+        spectrum = DopplerSpectrum.clarke(cfg.max_doppler)
+        user = estimation.UplinkUser(cfg.user_power, pilots.fft_pilot(37.5, P), fading.build_covariance(spectrum, P))
+        scene = estimation.UplinkScene(users=(user,), noise_var=cfg.noise_var)
+        dense = estimation.error_covariance(scene, 0)[1]
+        mse = simkit.ExactModel(spectrum, P).mse(cfg.user_power, cfg.noise_var)
+        assert mse == pytest.approx(dense, rel=1e-9)
 
 
 class TestUserReports:
