@@ -122,7 +122,15 @@ def orthogonality_residual(R_k, R_g, pkg):
         if pkg.shape[0] != P:
             raise ValueError("cross-product diagonal length mismatch")
         # R_k D R_g D^H with D = diag(pkg): scale columns, one dense product
-        prod = (R_k * pkg[None, :]) @ R_g * np.conj(pkg)[None, :]
+        prod = R_k * pkg[None, :]
+        if np.iscomplexobj(prod) and np.isrealobj(R_g):
+            # two real GEMMs, written back in place, instead of upcasting R_g
+            # to one complex GEMM
+            prod.real = prod.real @ R_g
+            prod.imag = prod.imag @ R_g
+        else:
+            prod = prod @ R_g
+        prod *= np.conj(pkg)[None, :]
     else:
         if pkg.shape != (P, P):
             raise ValueError("cross-product matrix shape mismatch")
@@ -143,25 +151,20 @@ def _support_runs(lam, floor_rel):
     if peak <= 0.0:
         return []
     mask = lam > floor_rel * peak
-    # unwrap to a centered axis so a support straddling bin 0 stays contiguous
-    centered = mask[(np.arange(P) - P // 2) % P]
-    runs = []
-    start = None
-    for i, m in enumerate(centered):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(centered) - 1))
+    # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
+    # padded with a clear bin at each end so every run has a start and an end
+    half = P // 2
+    padded = np.concatenate(([False], mask[P - half :], mask[: P - half], [False]))
+    # a boolean diff is True where the mask changes: run starts, and one past run ends
+    change = np.flatnonzero(np.diff(padded))
+    runs = list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
     # wrap-around merge: run touching both ends is one circular run
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == P - 1:
         first = runs.pop(0)
         last = runs.pop()
         runs.append((last[0], first[1] + P))
     # back to absolute bin coordinates
-    return [(lo - P // 2, hi - P // 2) for lo, hi in runs]
+    return [(lo - half, hi - half) for lo, hi in runs]
 
 
 def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
@@ -253,12 +256,8 @@ class AlignmentPlan:
 
     def pairwise_orthogonal(self):
         """True when every user pair occupies disjoint grid bins."""
-        masks = self.support_masks()
-        for k in range(self.K):
-            for g in range(k + 1, self.K):
-                if np.any(masks[k] & masks[g]):
-                    return False
-        return True
+        # some pair shares a bin exactly when some bin is covered twice
+        return not (self.support_masks().sum(axis=0) > 1).any()
 
     def pilots(self, base=None):
         """The plan's cyclic-shift pilot sequences."""
@@ -379,30 +378,44 @@ def plan_alignment(dopplers, forbidden, P, guard=0.0):
 
 
 def _first_fit(F, placed, forbidden, P, guard):
-    """Earliest shift whose support clears every placed support and band."""
+    """Earliest shift whose support clears every placed support and band.
 
-    def feasible(tau):
-        center = tau / P
-        sup = (center - F, center + F)
-        for other in placed:
-            if _circular_gap(sup, other) < max(guard, 1e-15):
-                return False
-        for band in forbidden:
-            if _circular_gap(sup, band) <= 0.0:
-                return False
-        return True
-
+    Integer shifts come first. The earliest clear integer is 0 or the first
+    integer past the end of some blocked arc (a placed support widened by the
+    user's half-width and the guard, or a band widened by the half-width), so
+    only those candidates are tested, +-1 for rounding at the arc ends. When
+    no integer clears, the support goes to the earliest clear position just
+    past a blocking interval's end.
+    """
     if not placed and not forbidden:
         return 0.0
-    for tau in range(P):  # integer grid first
-        if feasible(float(tau)):
-            return float(tau)
-    # fractional fallback: start just past each blocking interval's end
-    candidates = []
-    for lo, hi in list(placed) + list(forbidden):
-        start = (hi + guard + F) % 1.0
-        candidates.append((start * P) % P)
-    for tau in sorted(candidates):
-        if 0 <= tau < P and feasible(tau):
-            return tau
-    return None
+    blockers = np.array(list(placed) + list(forbidden), dtype=float)
+    ends = blockers[:, 1].copy()
+    ends[: len(placed)] += guard
+    edge = np.ceil(((ends + F) % 1.0) * P)
+    integers = np.unique(np.append((edge[:, None] + [-1.0, 0.0, 1.0]) % P, 0.0))
+    fractional = np.sort(((blockers[:, 1] + guard + F) % 1.0 * P) % P)
+    # first clear shift in order: the integers, then the fractional fallback
+    taus = np.concatenate((integers, fractional))
+    clear = _clears(taus, F, blockers, len(placed), P, guard)
+    return float(taus[clear.argmax()]) if clear.any() else None
+
+
+def _clears(taus, F, blockers, n_placed, P, guard):
+    """Which shifts put [tau/P - F, tau/P + F] clear of every blocking arc.
+
+    `_circular_gap` of every shifted support against every blocker, with the
+    same floating-point operations. The first `n_placed` blockers are placed
+    supports, which need a gap of at least the guard; the rest are forbidden
+    bands, which the support must not touch.
+    """
+    center = taus[:, None] / P
+    lo_a = center - F
+    width_a = (center + F) - lo_a
+    lo_b, hi_b = blockers[:, 0], blockers[:, 1]
+    width_b = hi_b - lo_b
+    rel = (lo_b - lo_a) % 1.0
+    gap = np.minimum(rel - width_a, (1.0 - rel) - width_b)
+    gap[width_a + width_b >= 1.0] = -1.0
+    placed_clear = (gap[:, :n_placed] >= max(guard, 1e-15)).all(axis=1)
+    return placed_clear & (gap[:, n_placed:] > 0.0).all(axis=1)

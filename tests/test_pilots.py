@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
+from psdalign import pilots
 from psdalign.fading import DopplerSpectrum, clarke_autocorrelation
 from psdalign.pilots import (
     AlignmentPlan,
@@ -206,11 +209,16 @@ class TestPlanAlignment:
         assert plan.pairwise_orthogonal()
 
     @given(st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_feasible_plans_always_validate(self, data):
         K = data.draw(st.integers(1, 6))
         dopplers = [data.draw(st.floats(0.001, 0.02)) for _ in range(K)]
-        plan = plan_alignment(dopplers, [], 512)
+        bands = data.draw(st.lists(band_strategy(0.3), max_size=2))
+        guard = data.draw(st.sampled_from([0.0, 1 / 512, 1e-3]))
+        try:
+            plan = plan_alignment(dopplers, bands, 512, guard)
+        except PlanInfeasibleError:
+            return
         assert plan.is_valid()
         assert plan.pairwise_orthogonal()
 
@@ -218,6 +226,156 @@ class TestPlanAlignment:
         plan = plan_alignment([0.002] * 4, [(-0.1, 0.1)], 1024)
         clone = AlignmentPlan.from_dict(plan.to_dict())
         assert clone == plan
+
+
+def band_strategy(max_width):
+    """Forbidden bands starting in [-1, 1]: some straddle 0, some wrap past 1."""
+    return st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, max_width)).map(
+        lambda b: (b[0], b[0] + b[1])
+    )
+
+
+def scan_first_fit(F, placed, forbidden, P, guard):
+    """The integer-scan first fit that the candidate-arc planner replaced (oracle)."""
+
+    def feasible(tau):
+        center = tau / P
+        sup = (center - F, center + F)
+        for other in placed:
+            if pilots._circular_gap(sup, other) < max(guard, 1e-15):
+                return False
+        for band in forbidden:
+            if pilots._circular_gap(sup, band) <= 0.0:
+                return False
+        return True
+
+    if not placed and not forbidden:
+        return 0.0
+    for tau in range(P):
+        if feasible(float(tau)):
+            return float(tau)
+    candidates = []
+    for lo, hi in list(placed) + list(forbidden):
+        start = (hi + guard + F) % 1.0
+        candidates.append((start * P) % P)
+    for tau in sorted(candidates):
+        if 0 <= tau < P and feasible(tau):
+            return tau
+    return None
+
+
+def plan_outcome(dopplers, bands, P, guard):
+    """Shift tuple of the plan, or the infeasibility it raised."""
+    try:
+        return plan_alignment(dopplers, bands, P, guard).shifts
+    except PlanInfeasibleError as err:
+        return ("infeasible", str(err), err.width_deficit)
+
+
+def scan_support_runs(lam, floor_rel):
+    """Bin-by-bin run finder that `_support_runs` replaced (oracle)."""
+    lam = np.asarray(lam, dtype=float)
+    P = lam.size
+    peak = lam.max(initial=0.0)
+    if peak <= 0.0:
+        return []
+    centered = (lam > floor_rel * peak)[(np.arange(P) - P // 2) % P]
+    runs = []
+    start = None
+    for i, m in enumerate(centered):
+        if m and start is None:
+            start = i
+        elif not m and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, P - 1))
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == P - 1:
+        first = runs.pop(0)
+        last = runs.pop()
+        runs.append((last[0], first[1] + P))
+    return [(lo - P // 2, hi - P // 2) for lo, hi in runs]
+
+
+class TestFirstFit:
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_integer_scan(self, data):
+        P = data.draw(st.integers(16, 4096))
+        K = data.draw(st.integers(1, 40))
+        # cap the Doppler range so that most user sets fit on the circle
+        hi = data.draw(st.floats(5e-4, max(5e-4, min(0.05, 0.5 / K))))
+        dopplers = data.draw(st.lists(st.floats(5e-4, hi), min_size=K, max_size=K))
+        bands = data.draw(st.lists(band_strategy(0.4), max_size=3))
+        guard = data.draw(st.sampled_from([0.0, 1 / P, 1e-3]))
+        got = plan_outcome(dopplers, bands, P, guard)
+        with mock.patch.object(pilots, "_first_fit", scan_first_fit):
+            expected = plan_outcome(dopplers, bands, P, guard)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "dopplers, bands, P, guard, shifts",
+        [
+            # recorded from the integer scan; the last user takes the fractional fallback
+            (
+                [0.0382, 0.0334, 0.0365, 0.0302, 0.0171, 0.0419],
+                [(0.281, 0.674)],
+                50,
+                1 / 50,
+                (41.0, 9.0, 36.0, 4.0, 0.0, 46.005),
+            ),
+            (
+                [0.0031, 0.0012, 0.0047, 0.002, 0.0025, 0.0038, 0.0015, 0.001, 0.0043, 0.0029, 0.0018, 0.0035],
+                [(-0.375, 0.375), (0.4, 0.45)],
+                4096,
+                1 / 4096,
+                (1882.0, 1552.0, 2015.0, 1597.0, 1617.0, 1942.0, 1565.0, 1541.0, 1977.0, 1856.0, 1580.0, 1911.0),
+            ),
+        ],
+    )
+    def test_pinned_mixed_doppler_plans(self, dopplers, bands, P, guard, shifts):
+        plan = plan_alignment(dopplers, bands, P, guard)
+        assert plan.shifts == shifts
+        assert plan.is_valid()
+
+    def test_plans_without_scanning_the_circle(self, monkeypatch):
+        """First fit tests candidate arcs, not P shifts one scalar gap at a time."""
+        calls = []
+        original = pilots._circular_gap
+
+        def counted(int_a, int_b):
+            calls.append(1)
+            return original(int_a, int_b)
+
+        monkeypatch.setattr(pilots, "_circular_gap", counted)
+        K = 40
+        dopplers = np.random.default_rng(4).uniform(0.001, 0.004, K).tolist()
+        plan = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
+        assert plan.is_valid()
+        assert len(calls) <= K * (K + 1)
+
+
+class TestSupportRuns:
+    @given(st.lists(st.booleans(), min_size=1, max_size=64), st.floats(0.5, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bin_scan(self, mask, level):
+        lam = np.array(mask, dtype=float) * level
+        assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+
+    @pytest.mark.parametrize("P", [7, 8])
+    def test_edge_masks(self, P):
+        half = P // 2
+        masks = {
+            "all true": np.ones(P),
+            "all zero": np.zeros(P),
+            "bin 0": np.eye(P)[0],
+            "bin P-1": np.eye(P)[P - 1],
+            # the centered axis ends at bins P-1-half and P-half: one circular run
+            "wrap-around": np.eye(P)[P - 1 - half] + np.eye(P)[P - half] + np.eye(P)[0],
+        }
+        for name, lam in masks.items():
+            assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6), name
+        assert pilots._support_runs(masks["wrap-around"], 1e-6) == [(0, 0), (P - 1 - half, P - half)]
 
 
 class TestCircularGeometry:
