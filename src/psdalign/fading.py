@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import circulant, toeplitz
 from scipy.special import j0
 
+from .nufft import Type1
 from .quadrature import oscillatory_nodes
 
 log = logging.getLogger(__name__)
@@ -346,20 +347,29 @@ class FadingRealization:
 
 
 def complex_normal(rng, shape):
-    """Standard circular complex Gaussians, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard circular complex Gaussians, unit variance per entry.
+
+    Bit-identical to (a + 1j * b) / sqrt(2) for a then b drawn by
+    rng.standard_normal(shape), without that expression's temporaries.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def synthesize_realization(cov, M, seed, method="exact"):
     """Draw M independent antenna processes with the covariance's statistics.
 
-    method="exact" uses a quadrature of the spectral measure, so the samples
-    carry the exact Toeplitz second-order statistics (to ~1e-12). It needs the
-    generating spectrum. method="circulant" scales white spectral coefficients
-    by the square roots of the clamped circulant eigenvalues and inverse-DFTs;
-    it is exact for the circulant model only: for autocorrelations that decay
-    slowly relative to P (bathtub spectra with F*P of order 10) the wrapped
-    tail visibly distorts the realized lags.
+    method="exact" uses a quadrature of the spectral measure, summed at the
+    sample times by `nufft.Type1`, so the samples carry the exact Toeplitz
+    second-order statistics (to ~1e-12). It needs the generating spectrum.
+    method="circulant" scales white spectral coefficients by the square roots
+    of the clamped circulant eigenvalues and inverse-DFTs; it is exact for the
+    circulant model only: for autocorrelations that decay slowly relative to P
+    (bathtub spectra with F*P of order 10) the wrapped tail visibly distorts
+    the realized lags.
     """
     rng = np.random.default_rng(seed)
     if method == "exact":
@@ -368,7 +378,8 @@ def synthesize_realization(cov, M, seed, method="exact"):
         if cov.spectrum.kind == "sampled":
             method = "circulant"  # the sampled grid *is* the circulant model
     if method == "exact":
-        samples = _spectral_synthesis(cov.spectrum, cov.P, M, rng)
+        xi, amp = cov.spectrum.synthesis_nodes(max_lag=cov.P - 1)
+        samples = Type1(xi, cov.P)(amp[:, None] * complex_normal(rng, (xi.size, M)))
     elif method == "circulant":
         g = complex_normal(rng, (cov.P, M))
         samples = np.sqrt(cov.P) * np.fft.ifft(np.sqrt(cov.eigenvalues)[:, None] * g, axis=0)
@@ -376,14 +387,3 @@ def synthesize_realization(cov, M, seed, method="exact"):
         raise ValueError(f"unknown synthesis method {method!r}")
     return FadingRealization(samples=samples, seed=seed, spectrum=cov.spectrum, method=method)
 
-
-def _spectral_synthesis(spectrum, length, M, rng, node_chunk=512):
-    xi, amp = spectrum.synthesis_nodes(max_lag=length - 1)
-    g = complex_normal(rng, (xi.size, M))
-    n = np.arange(length)
-    out = np.zeros((length, M), dtype=complex)
-    for start in range(0, xi.size, node_chunk):
-        sl = slice(start, start + node_chunk)
-        phases = np.exp(2j * np.pi * np.outer(n, xi[sl]))
-        out += phases @ (amp[sl, None] * g[sl])
-    return out

@@ -20,7 +20,10 @@ factor the dense matrix by Cholesky.
 - `ExactModel` draws samples with the exact Toeplitz statistics of the
   underlying continuous-time process; its window-averaged error converges to
   the same limit but visibly slower, which is itself one of the toolkit's
-  cross-checks.
+  cross-checks. A draw sums complex exponentials at the nodes of a quadrature
+  of the spectral measure, through the type-1 NUFFT of `psdalign.nufft`
+  (directly for the few nodes of a narrow Clarke band): no P x Q matrix is
+  kept.
 """
 
 import json
@@ -38,6 +41,7 @@ from scipy.linalg import cho_factor, cho_solve, circulant
 from . import estimation, pilots
 from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
 from .fading import DopplerSpectrum, build_covariance, complex_normal, grid_frequencies
+from .nufft import Type1
 from .toeplitz import HermitianToeplitz, ToeplitzInverse
 
 log = logging.getLogger(__name__)
@@ -156,8 +160,10 @@ class ExactModel:
 
     Same interface as CirculantModel. One draw synthesizes the window and the
     `dl_lag` slots after it, so the downlink sample is exactly as correlated
-    with the window as in the process. The P x P covariance is built on
-    request only.
+    with the window as in the process: sum_q amp_q g_q exp(2j*pi*n*xi_q) for
+    n = 0..P-1+dl_lag with white g_q, a type-1 NUFFT of the nodes xi_q
+    (`nufft.Type1`, which keeps the direct sum for few nodes). The P x P
+    covariance is built on request only.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
@@ -165,7 +171,7 @@ class ExactModel:
         self.cov = build_covariance(spectrum, P)
         self.toeplitz = HermitianToeplitz(self.column())
         xi, self.amp = spectrum.synthesis_nodes(max_lag=P - 1 + dl_lag)
-        self.phases = np.exp(2j * np.pi * np.outer(np.arange(P + dl_lag), xi))
+        self.synthesis = Type1(xi, P + dl_lag)
 
     def column(self):
         """First column of the Toeplitz covariance: the autocorrelation at lags 0..P-1."""
@@ -175,7 +181,7 @@ class ExactModel:
         return self.cov.toeplitz()
 
     def draw(self, rng, M):
-        block = self.phases @ (self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
+        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
         return block[: self.P], block[-1]
 
     def apply(self, W):

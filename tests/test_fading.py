@@ -11,6 +11,7 @@ from psdalign.fading import (
     build_covariance,
     clarke_autocorrelation,
     clarke_psd,
+    complex_normal,
     flat_psd,
     grid_frequencies,
     synthesize_realization,
@@ -157,6 +158,16 @@ class TestBuildCovariance:
     def test_rejects_short_window(self):
         with pytest.raises(ValueError):
             build_covariance(DopplerSpectrum.clarke(0.01), 1)
+
+
+@pytest.mark.parametrize("shape", [(), (1024,), (1024, 16)])
+def test_complex_normal_bits_unchanged(shape):
+    # the expression it replaced: every seeded draw in the simulator depends on these bits
+    rng = np.random.default_rng(2024)
+    old = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    new = complex_normal(np.random.default_rng(2024), shape)
+    assert np.shape(new) == shape
+    assert np.array_equal(np.atleast_1d(new).view(float), np.atleast_1d(old).view(float))
 
 
 class TestSynthesis:

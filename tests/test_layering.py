@@ -12,7 +12,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "psdalign"
 
 # the lower layers: numerics that know nothing of the simulator or the CLI
-LOWER = ("fading", "pilots", "quadrature", "estimation", "toeplitz")
+LOWER = ("fading", "pilots", "quadrature", "estimation", "toeplitz", "nufft")
 
 
 def psdalign_imports(path):
@@ -49,6 +49,10 @@ def test_config_imports_no_psdalign_module():
 
 def test_toeplitz_imports_no_psdalign_module():
     assert IMPORTS["toeplitz"] == set()
+
+
+def test_nufft_imports_no_psdalign_module():
+    assert IMPORTS["nufft"] == set()
 
 
 @pytest.mark.parametrize("module", LOWER)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from psdalign import estimation, fading, pilots, simkit
 from psdalign.fading import DopplerSpectrum
@@ -20,6 +21,21 @@ from psdalign.simkit import (
     write_manifest,
     write_mse_csv,
 )
+
+
+def array_bytes(obj, seen=None):
+    """Bytes of the arrays an object holds, through its attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if sparse.issparse(obj):
+        return obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(array_bytes(item, seen) for item in obj)
+    return sum(array_bytes(value, seen) for value in getattr(obj, "__dict__", {}).values())
 
 
 def small_config(**overrides):
@@ -255,6 +271,12 @@ class TestStructuredSolver:
         base = np.exp(2j * np.pi * np.arange(P) ** 2 / P)
         assert not simkit._ramp_pilots([pilots.fft_pilot(0.5, P, base)])
         assert not simkit._ramp_pilots(pilots.hadamard_pilots(4))
+
+    def test_exact_model_holds_no_synthesis_matrix(self):
+        # the phase matrix of a direct synthesis of the contamination band
+        # alone would be 4096 x 5706 complex (374 MB)
+        s = simkit._setup(ExperimentConfig(channel_model="exact"), 4096)
+        assert array_bytes(s.user) + array_bytes(s.cont) < 32e6
 
     @pytest.mark.parametrize("pilot_snr_db", [-10.0, 0.0, 20.0])
     def test_exact_model_mse_matches_dense_error_covariance(self, pilot_snr_db):
