@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .fading import stacked_psd
 from .quadrature import adaptive_gl
 
 
@@ -190,25 +191,24 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
     circle. Bathtub band edges are integrated under the arcsine substitution,
     and every band edge becomes a panel breakpoint, so the quadrature sees
     only smooth integrands.
-    """
 
-    def interference(xi):
-        total = 0.0
-        for sp, shift, rho_g in interferers:
-            total = total + rho_g * sp.psd(_wrap(xi - shift))
-        return total
+    All interferers are evaluated at a node set in one (interferer, node)
+    broadcast (`fading.stacked_psd`: the bathtub ones together, flat and
+    sampled ones through their own `psd`), and their terms are summed in the
+    given order with the floating-point operations of adding them one at a
+    time, so the integrand is bit for bit that of a per-interferer loop.
+    """
+    interferers = list(interferers)
+    interference = _interference(interferers)
 
     def integrand(xi):
         S = spectrum.psd(_wrap(xi))
         denom = S * power + interference(xi) + noise_var
         return np.divide(S * S * power, denom, out=np.zeros_like(S), where=denom > 0)
 
-    edges = set()
-    for lo, hi in spectrum.support():
-        edges |= {lo, hi}
-    for sp, shift, _ in interferers:
-        for lo, hi in sp.support():
-            edges |= {_wrap(lo + shift), _wrap(hi + shift)}
+    edges = {e for band in spectrum.support() for e in band}
+    shifted = [e + shift for sp, shift, _ in interferers for band in sp.support() for e in band]
+    edges.update(_wrap(np.array(shifted, dtype=float)).tolist())
 
     total = 0.0
     for lo, hi in spectrum.support():
@@ -233,6 +233,26 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
 
     # outside the user's own support S vanishes and the integrand with it
     return 1.0 - total
+
+
+def _interference(interferers):
+    """xi -> sum of rho_g * S_g(xi - shift_g) over (S_g, shift_g, rho_g) in order."""
+    if not interferers:
+        return lambda xi: 0.0
+    spectra, shifts, weights = zip(*interferers)
+    density = stacked_psd(spectra)
+    shifts = np.array(shifts, dtype=float)[:, None]
+    weights = np.array(weights, dtype=float)[:, None]
+
+    def interference(xi):
+        x = _wrap(np.asarray(xi, dtype=float) - shifts)
+        # row 0 stays 0.0: accumulating from it adds the terms one at a time,
+        # exactly as total = total + rho_g * psd_g would
+        terms = np.zeros((len(weights) + 1, *x.shape[1:]))
+        np.multiply(weights, density(x), out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
+
+    return interference
 
 
 def _wrap(xi):

@@ -56,11 +56,17 @@ def clarke_psd(max_doppler, xi):
     _check_frequency_domain(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < max_doppler
-    out[inside] = 1.0 / (np.pi * np.sqrt(max_doppler**2 - x[inside] ** 2))
-    out[np.abs(x) == max_doppler] = np.inf
+    out = _bathtub(max_doppler, max_doppler**2, x)
     return float(out[0]) if scalar else out
+
+
+def _bathtub(F, F2, x):
+    """The bathtub density at x for half-widths F (with F2 = F**2) broadcast against x."""
+    out = np.zeros_like(x)
+    inside = np.abs(x) < F
+    out[inside] = 1.0 / (np.pi * np.sqrt(np.broadcast_to(F2, x.shape)[inside] - x[inside] ** 2))
+    out[np.abs(x) == F] = np.inf
+    return out
 
 
 def flat_psd(band, power, xi):
@@ -75,6 +81,33 @@ def flat_psd(band, power, xi):
     x = np.atleast_1d(x)
     out = np.where((x >= lo) & (x <= hi), power / (hi - lo), 0.0)
     return float(out[0]) if scalar else out
+
+
+def stacked_psd(spectra):
+    """Densities of several spectra, one row each, as a function of a (G, N) array.
+
+    Row g of the result is spectra[g].psd(x[g]), bit for bit. The bathtub rows
+    are evaluated in one broadcast, and the frequency domain is checked once.
+    """
+    spectra = list(spectra)
+    bathtubs = [g for g, sp in enumerate(spectra) if sp.kind == "clarke"]
+    others = [g for g, sp in enumerate(spectra) if sp.kind != "clarke"]
+    # F**2 as the scalar path squares it, a Python float power
+    F = np.array([spectra[g].max_doppler for g in bathtubs])[:, None]
+    F2 = np.array([spectra[g].max_doppler ** 2 for g in bathtubs])[:, None]
+    power = np.array([spectra[g].power for g in bathtubs], dtype=float)[:, None]
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        _check_frequency_domain(x)
+        out = np.empty_like(x)
+        if bathtubs:
+            out[bathtubs] = power * _bathtub(F, F2, x[bathtubs])
+        for g in others:
+            out[g] = spectra[g].psd(x[g])
+        return out
+
+    return density
 
 
 def _check_max_doppler(F):

@@ -15,6 +15,8 @@ import numpy as np
 from .fading import EIGENVALUE_FLOOR_REL, grid_frequencies
 
 _UNIT_MODULUS_TOL = 1e-9
+# consecutive-ratio spread, per slot of length, below which pkg counts as a ramp
+_RAMP_TOL_PER_SLOT = 1e-13
 
 
 class PlanInfeasibleError(ValueError):
@@ -111,6 +113,13 @@ def orthogonality_residual(R_k, R_g, pkg):
 
     `pkg` may be the dense cross-product matrix or its diagonal as a 1-D array
     (the cross product of two diagonal pilots is always diagonal).
+
+    When R_k and R_g are Toeplitz (checked entry for entry) and the diagonal
+    `pkg` is a constant-modulus exponential ramp (equal consecutive ratios, to
+    the rounding of computed phases), the product has displacement rank 2 and
+    its norm takes O(P^2) time and O(P) memory (`_structured_norm`); that
+    covers the cyclic-shift pilots of criterion 6 and `validate`. Every other
+    input forms the dense O(P^3) product, which is also the tests' oracle.
     """
     R_k = np.asarray(R_k)
     R_g = np.asarray(R_g)
@@ -121,7 +130,22 @@ def orthogonality_residual(R_k, R_g, pkg):
     if pkg.ndim == 1:
         if pkg.shape[0] != P:
             raise ValueError("cross-product diagonal length mismatch")
-        # R_k D R_g D^H with D = diag(pkg): scale columns, one dense product
+    elif pkg.shape != (P, P):
+        raise ValueError("cross-product matrix shape mismatch")
+    structured = (
+        pkg.ndim == 1
+        and _is_ramp(pkg)
+        and _is_toeplitz(R_k)
+        and (R_g is R_k or _is_toeplitz(R_g))
+    )
+    norm = _structured_norm(R_k, R_g, pkg) if structured else _dense_norm(R_k, R_g, pkg)
+    return norm / P**1.5
+
+
+def _dense_norm(R_k, R_g, pkg):
+    """Frobenius norm of the dense product R_k D R_g D^H, D = diag(pkg) or the matrix pkg."""
+    if pkg.ndim == 1:
+        # scale columns, one dense product
         prod = R_k * pkg[None, :]
         if np.iscomplexobj(prod) and np.isrealobj(R_g):
             # two real GEMMs, written back in place, instead of upcasting R_g
@@ -132,10 +156,64 @@ def orthogonality_residual(R_k, R_g, pkg):
             prod = prod @ R_g
         prod *= np.conj(pkg)[None, :]
     else:
-        if pkg.shape != (P, P):
-            raise ValueError("cross-product matrix shape mismatch")
         prod = R_k @ pkg @ R_g @ pkg.conj().T
-    return float(np.linalg.norm(prod, "fro")) / P**1.5
+    return float(np.linalg.norm(prod, "fro"))
+
+
+def _is_toeplitz(R):
+    return np.array_equal(R[1:, 1:], R[:-1, :-1])
+
+
+def _is_ramp(pkg):
+    """Whether pkg[n] = c z^n with |z| = 1, to the rounding of computed phases.
+
+    A phase 2*pi*tau*n/P evaluated in floating point is off by a few ulps of
+    its size, up to about 2*pi*P, so the tolerance grows with the length.
+    """
+    P = pkg.size
+    if P < 2:
+        return False
+    tol = _RAMP_TOL_PER_SLOT * P
+    modulus = np.abs(pkg)
+    if not (modulus[0] > 0 and np.abs(modulus - modulus[0]).max() <= tol * modulus[0]):
+        return False
+    ratios = pkg[1:] / pkg[:-1]
+    return bool(np.abs(ratios - ratios[0]).max() <= tol)
+
+
+def _matvec(A, x):
+    """A @ x without upcasting a real A to complex."""
+    if np.isrealobj(A) and np.iscomplexobj(x):
+        return A @ x.real + 1j * (A @ x.imag)
+    return A @ x
+
+
+def _structured_norm(R_k, R_g, pkg):
+    """Frobenius norm of C = R_k B, B = D R_g D^H, for Toeplitz R_k, R_g and a ramp D.
+
+    B is Toeplitz, so C has displacement rank 2 (Kailath & Sayed, SIAM Review
+    37, 1995): C[i+1, j+1] = C[i, j] + R_k[i+1, 0] B[0, j+1] - R_k[i, P-1] B[P-1, j].
+    C's first row and column take one matrix-vector product each; every later
+    row follows from the one before in O(P), and the norm accumulates row by row.
+    """
+    P = R_k.shape[0]
+    cpkg = np.conj(pkg)
+    first_col = _matvec(R_k, pkg * R_g[:, 0] * cpkg[0])
+    row = _matvec(R_g.T, R_k[0, :] * pkg) * cpkg
+    row = row.astype(np.result_type(row, first_col))
+    b_first = (pkg[0] * R_g[0, 1:] * cpkg[1:]).astype(row.dtype)
+    b_last = (pkg[-1] * R_g[-1, :-1] * cpkg[:-1]).astype(row.dtype)
+    a_first, a_last = R_k[:, 0], R_k[:, -1]
+    total = np.vdot(row, row).real
+    nxt = np.empty_like(row)
+    for i in range(P - 1):
+        nxt[0] = first_col[i + 1]
+        np.multiply(b_first, a_first[i + 1], out=nxt[1:])
+        nxt[1:] += row[:-1]
+        nxt[1:] -= a_last[i] * b_last
+        total += np.vdot(nxt, nxt).real
+        row, nxt = nxt, row
+    return float(np.sqrt(total))
 
 
 def _support_runs(lam, floor_rel):
@@ -175,13 +253,15 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     disjointness of the rolled eigenvalue masks; fractional shifts compare the
     same intervals translated on the circle.
     """
+    same = lam_g is lam_k
     lam_k = np.asarray(lam_k, dtype=float)
     lam_g = np.asarray(lam_g, dtype=float)
     if lam_k.shape != lam_g.shape:
         raise ValueError("eigenvalue vectors must have equal length")
     P = lam_k.size
     runs_k = _support_runs(lam_k, floor_rel)
-    runs_g = _support_runs(lam_g, floor_rel)
+    # one spectrum against itself (equal-Doppler users): its runs once
+    runs_g = runs_k if same else _support_runs(lam_g, floor_rel)
     for lo_k, hi_k in runs_k:
         for lo_g, hi_g in runs_g:
             lo, hi = lo_g + dtau, hi_g + dtau

@@ -19,8 +19,10 @@ from psdalign.estimation import (
     small_alpha_mse,
     taylor_check,
 )
+from psdalign import estimation
 from psdalign.fading import DopplerSpectrum, build_covariance, complex_normal, synthesize_realization
 from psdalign.pilots import fft_pilot, hadamard_pilots
+from psdalign.quadrature import adaptive_gl
 
 
 def clarke_scene(F, P, noise_var, shifts=(0,), power=1.0):
@@ -192,6 +194,164 @@ class TestAsymptoticMse:
         shifted = asymptotic_mse(sp, 1.0, 1.0, interferers=[(cont, 0.0, 1.0)])
         # user sits inside the contamination band at shift 0
         assert shifted > asymptotic_mse(sp, 1.0, 1.0)
+
+
+def loop_asymptotic_mse(spectrum, power, noise_var, interferers):
+    """The per-interferer loop: one psd call per interferer, summed in order."""
+    wrap = estimation._wrap
+
+    def interference(xi):
+        total = 0.0
+        for sp, shift, rho_g in interferers:
+            total = total + rho_g * sp.psd(wrap(xi - shift))
+        return total
+
+    def integrand(xi):
+        S = spectrum.psd(wrap(xi))
+        denom = S * power + interference(xi) + noise_var
+        return np.divide(S * S * power, denom, out=np.zeros_like(S), where=denom > 0)
+
+    edges = set()
+    for lo, hi in spectrum.support():
+        edges |= {lo, hi}
+    for sp, shift, _ in interferers:
+        for lo, hi in sp.support():
+            edges |= {wrap(lo + shift), wrap(hi + shift)}
+
+    total = 0.0
+    for lo, hi in spectrum.support():
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+
+        def theta_integrand(theta):
+            xi = center + half * np.sin(theta)
+            return integrand(xi) * half * np.cos(theta)
+
+        breaks = [math.asin((e - center) / half) for e in edges if -1.0 < (e - center) / half < 1.0]
+        pts = sorted({-np.pi / 2, np.pi / 2, *breaks})
+        for a, b in zip(pts, pts[1:]):
+            total += adaptive_gl(theta_integrand, a, b, tol=1e-10, n=24)
+    return 1.0 - total
+
+
+def random_interferer(rng, kind):
+    """One (spectrum, shift, weight) triple; shifts reach past +-1/2, weights may be 0."""
+    if kind == "clarke":
+        sp = DopplerSpectrum.clarke(rng.uniform(0.001, 0.08), power=rng.uniform(0.2, 2.0))
+    elif kind == "flat":
+        lo = rng.uniform(-0.5, 0.4)
+        sp = DopplerSpectrum.flat_band(lo, min(0.5, lo + rng.uniform(0.01, 0.3)), power=rng.uniform(0.2, 2.0))
+    else:
+        values = rng.uniform(0.0, 3.0, int(rng.integers(8, 17)))
+        values[rng.random(values.size) < 0.5] = 0.0
+        sp = DopplerSpectrum.sampled(values)
+    weight = 0.0 if rng.random() < 0.15 else rng.uniform(0.1, 3.0)
+    return sp, rng.uniform(-1.5, 1.5), weight
+
+
+class RecordingSpectrum:
+    """A spectrum that keeps every node set its density is asked for."""
+
+    def __init__(self, spectrum):
+        self.spectrum = spectrum
+        self.nodes = []
+
+    def psd(self, xi):
+        self.nodes.append(np.array(xi))
+        return self.spectrum.psd(xi)
+
+    def support(self):
+        return self.spectrum.support()
+
+
+class TestBatchedInterference:
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_per_interferer_loop(self, seed, count):
+        rng = np.random.default_rng(seed)
+        user = DopplerSpectrum.clarke(rng.uniform(0.001, 0.05))
+        # kinds interleaved in random order
+        kinds = rng.choice(["clarke", "flat", "sampled"], count)
+        interferers = [random_interferer(rng, kind) for kind in kinds]
+        noise = rng.uniform(0.05, 2.0)
+        assert asymptotic_mse(user, 1.0, noise, interferers) == loop_asymptotic_mse(user, 1.0, noise, interferers)
+
+    def test_plan_scale_mix_is_bit_identical(self):
+        # 40 bathtub users and the contamination band, the shape of a planning check
+        rng = np.random.default_rng(7)
+        spectra = [DopplerSpectrum.clarke(F) for F in rng.uniform(0.001, 0.004, 40)]
+        interferers = [(sp, rng.uniform(-0.5, 0.5), 1.0) for sp in spectra[1:]]
+        interferers.insert(17, (DopplerSpectrum.flat_band(-0.375, 0.375), 0.43, 1.0))
+        assert asymptotic_mse(spectra[0], 1.0, 1.0, interferers) == loop_asymptotic_mse(
+            spectra[0], 1.0, 1.0, interferers
+        )
+
+    def test_band_edge_on_a_node(self):
+        user = DopplerSpectrum.clarke(0.01)
+        others = [
+            (DopplerSpectrum.clarke(0.004), 0.013, 1.0),
+            (DopplerSpectrum.flat_band(-0.2, 0.1), 0.6, 0.5),
+        ]
+        recording = RecordingSpectrum(user)
+        asymptotic_mse(recording, 1.0, 0.5, others)
+        node = float(recording.nodes[0][5])
+        # a powerless bathtub adds no panel breakpoint, so the node stays a
+        # node, and the node sits exactly on its band edge: inf density there
+        shift = node - 0.3
+        F = float(estimation._wrap(node - shift))
+        interferers = [others[0], (DopplerSpectrum.clarke(F, power=0.0), shift, 0.7), others[1]]
+        recording = RecordingSpectrum(user)
+        with np.errstate(invalid="ignore"):  # 0 power times the inf density
+            got = asymptotic_mse(recording, 1.0, 0.5, interferers)
+            want = loop_asymptotic_mse(user, 1.0, 0.5, interferers)
+        assert any(node in nodes for nodes in recording.nodes)
+        assert got == want
+
+    def test_inf_density_at_nodes(self):
+        # nodes on bathtub edges, wrapped past +-1/2, with a zero weight
+        interferers = [
+            (DopplerSpectrum.clarke(0.125), 0.625, 2.0),
+            (DopplerSpectrum.flat_band(-0.25, 0.25, power=0.5), -0.75, 1.0),
+            (DopplerSpectrum.clarke(0.2), -0.25, 0.0),
+            (DopplerSpectrum.sampled(np.arange(16.0)), 1.0, 0.3),
+        ]
+        xi = np.array([-0.5, -0.375, -0.25, 0.0, 0.25, 0.5, 0.75, 0.1])
+        total = 0.0
+        for sp, shift, rho_g in interferers:
+            total = total + rho_g * sp.psd(estimation._wrap(xi - shift))
+        got = estimation._interference(interferers)(xi)
+        assert np.isinf(got).any()
+        assert np.array_equal(got, total)
+
+    def test_overlapping_supports_sum_in_order(self):
+        # every interferer covers the user's band, so each node sums ~25
+        # nonzero terms and any other summation order changes low bits
+        rng = np.random.default_rng(11)
+        user = DopplerSpectrum.clarke(0.01)
+        interferers = []
+        for g in range(25):
+            if g % 5 == 2:
+                sp = DopplerSpectrum.flat_band(-0.05, rng.uniform(0.02, 0.05), power=rng.uniform(0.1, 1.0))
+            else:
+                sp = DopplerSpectrum.clarke(rng.uniform(0.02, 0.2), power=rng.uniform(0.1, 1.0))
+            interferers.append((sp, rng.uniform(-0.005, 0.005), rng.uniform(0.01, 0.3)))
+        assert asymptotic_mse(user, 1.0, 0.3, interferers) == loop_asymptotic_mse(user, 1.0, 0.3, interferers)
+        # the integral rounds away last-bit differences of the density; the density itself may not differ
+        xi = np.linspace(-0.0099, 0.0099, 301)
+        total = 0.0
+        for sp, shift, rho_g in interferers:
+            total = total + rho_g * sp.psd(estimation._wrap(xi - shift))
+        assert np.array_equal(estimation._interference(interferers)(xi), total)
+
+    def test_generator_and_list_agree(self):
+        sp = DopplerSpectrum.clarke(0.01)
+        from_list = asymptotic_mse(sp, 1.0, 1.0, [(sp, 0.0, 1.0)])
+        from_generator = asymptotic_mse(sp, 1.0, 1.0, ((sp, 0.0, 1.0) for _ in range(1)))
+        assert from_generator == from_list
+        assert from_list > 10 * asymptotic_mse(sp, 1.0, 1.0)
+        # an interferer whose edges are panel breakpoints inside the user's band
+        mixed = [(sp, 0.0, 1.0), (DopplerSpectrum.clarke(0.004), 0.003, 0.5)]
+        assert asymptotic_mse(sp, 1.0, 1.0, iter(mixed)) == asymptotic_mse(sp, 1.0, 1.0, mixed)
 
 
 class TestClosedForm:

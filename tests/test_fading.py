@@ -14,6 +14,7 @@ from psdalign.fading import (
     complex_normal,
     flat_psd,
     grid_frequencies,
+    stacked_psd,
     synthesize_realization,
 )
 
@@ -106,6 +107,25 @@ class TestSpectrumInvariants:
         sp = DopplerSpectrum.flat_band(0.1, 0.3)
         v = np.arange(1, 50)
         assert np.allclose(sp.autocorrelation(-v), np.conj(sp.autocorrelation(v)))
+
+
+def test_stacked_psd_rows_match_psd_bit_for_bit():
+    spectra = [
+        DopplerSpectrum.flat_band(-0.1, 0.2, power=2.0),
+        DopplerSpectrum.clarke(0.125, power=0.5),
+        DopplerSpectrum.sampled(np.arange(8.0)),
+        DopplerSpectrum.clarke(0.3),
+    ]
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-0.49, 0.5, (4, 40))
+    x[1, :2] = [-0.125, 0.125]  # singular bathtub edges
+    x[3, 0] = 0.3
+    rows = stacked_psd(spectra)(x)
+    for sp, xg, row in zip(spectra, x, rows):
+        assert np.array_equal(row, sp.psd(xg))
+    assert np.isinf(rows[1, :2]).all() and np.isinf(rows[3, 0])
+    with pytest.raises(ValueError):
+        stacked_psd(spectra)(x + 0.6)
 
 
 class TestBuildCovariance:

@@ -133,6 +133,83 @@ class TestOrthogonalityResidual:
         assert vals[0] > vals[1] > vals[2]
 
 
+def hermitian_toeplitz(rng, P, complex_column):
+    """A random Hermitian Toeplitz matrix from its first column."""
+    t = rng.standard_normal(P)
+    if complex_column:
+        t = t + 1j * rng.standard_normal(P)
+        t[0] = t[0].real
+    return toeplitz(t)
+
+
+def counting_dense():
+    """The dense product, wrapped to count its calls."""
+    return mock.patch.object(pilots, "_dense_norm", wraps=pilots._dense_norm)
+
+
+class TestStructuredResidual:
+    @given(
+        P=st.integers(2, 1024),
+        seed=st.integers(0, 2**32 - 1),
+        complex_k=st.booleans(),
+        complex_g=st.booleans(),
+        ramp=st.sampled_from(["integer", "fractional", "scaled", "ones"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_oracle(self, P, seed, complex_k, complex_g, ramp):
+        rng = np.random.default_rng(seed)
+        R_k = hermitian_toeplitz(rng, P, complex_k)
+        R_g = R_k if rng.random() < 0.25 else hermitian_toeplitz(rng, P, complex_g)
+        if ramp == "ones":
+            pkg = np.ones(P)  # criterion 6 at dtau = 0: a real all-ones diagonal
+        else:
+            tau_k, tau_g = rng.uniform(0, P, 2)
+            if ramp == "integer":
+                tau_k, tau_g = np.floor(tau_k), np.floor(tau_g)
+            pkg = np.conj(fft_pilot(tau_k, P).values) * fft_pilot(tau_g, P).values
+            if ramp == "scaled":
+                pkg = pkg * rng.uniform(0.2, 3.0) * np.exp(2j * np.pi * rng.random())
+        with counting_dense() as dense:
+            got = orthogonality_residual(R_k, R_g, pkg)
+        assert dense.call_count == 0
+        want = pilots._dense_norm(R_k, R_g, pkg) / P**1.5
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_non_toeplitz_hermitian_falls_back(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        R = A @ A.conj().T
+        with counting_dense() as dense:
+            orthogonality_residual(R, R, fft_pilot(3, 16).values)
+        assert dense.call_count == 1
+
+    def test_non_ramp_diagonal_falls_back(self):
+        R = toeplitz(clarke_autocorrelation(0.05, np.arange(16)))
+        rows = hadamard_pilots(16)
+        pkg = np.conj(rows[1].values) * rows[2].values
+        with counting_dense() as dense:
+            orthogonality_residual(R, R, pkg)
+        assert dense.call_count == 1
+
+    def test_matrix_cross_product_falls_back(self):
+        R = toeplitz(clarke_autocorrelation(0.05, np.arange(16)))
+        with counting_dense() as dense:
+            orthogonality_residual(R, R, np.diag(fft_pilot(8, 16).values))
+        assert dense.call_count == 1
+
+    def test_criterion_6_and_validate_never_form_the_dense_product(self):
+        from test_acceptance import test_criterion_06_orthogonality_decay
+
+        from psdalign.cli import run_validation_checks
+        from psdalign.config import ExperimentConfig
+
+        with counting_dense() as dense:
+            test_criterion_06_orthogonality_decay()
+            checks = run_validation_checks(ExperimentConfig())
+        assert any(c.name.startswith("orthogonality_residual") for c in checks)
+        assert dense.call_count == 0
+
+
 class TestShiftOrthogonal:
     def test_full_overlap_false(self):
         lam = DopplerSpectrum.clarke(0.002).sample_eigenvalues(1000)
