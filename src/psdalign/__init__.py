@@ -21,13 +21,11 @@ from .fading import (
     AutocorrelationSequence,
     ChannelCovariance,
     DopplerSpectrum,
-    FadingRealization,
     build_covariance,
     clarke_autocorrelation,
     clarke_psd,
     flat_psd,
     j0,
-    synthesize_realization,
 )
 from .pilots import (
     AlignmentPlan,

@@ -52,9 +52,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.sampling_divisor, int) or self.sampling_divisor < 1:
             raise ValueError(f"sampling_divisor must be an integer >= 1, got {self.sampling_divisor!r}")
-        for name in ("symbol_duration_s", "doppler_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("symbol_duration_s", "doppler_hz", "tolerance_scale"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.dl_lag < 0:
             raise ValueError(f"dl_lag must be >= 0 slots, got {self.dl_lag}")
         for name in ("users", "trials", "antennas"):

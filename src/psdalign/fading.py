@@ -1,10 +1,14 @@
-"""Doppler spectra, channel covariances, and stationary fading synthesis.
+"""Doppler spectra, channel covariances, and the ingredients of fading synthesis.
 
 The spectral model lives on the normalized frequency interval (-1/2, 1/2].
 A bathtub spectrum with normalized maximum Doppler F describes isotropic
 scattering; its autocorrelation is J0(2*pi*F*v). Flat bands model band-limited
 interference, and sampled spectra carry arbitrary nonnegative eigenvalue
 profiles on the P-point grid.
+
+Channels are drawn only by the models of `psdalign.simkit`: the exact one from
+`DopplerSpectrum.synthesis_nodes`, the circulant one from the clamped
+`ChannelCovariance.eigenvalues`, both through `complex_normal`.
 
 Sign convention (matters only for spectra without even symmetry): the
 autocorrelation is r(v) = integral S(xi) exp(+2j*pi*xi*v) dxi, equivalently
@@ -17,10 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import circulant, toeplitz
+from scipy.linalg import toeplitz
 from scipy.special import j0
 
-from .nufft import Type1
 from .quadrature import oscillatory_nodes
 
 log = logging.getLogger(__name__)
@@ -287,13 +290,6 @@ class AutocorrelationSequence:
     values: np.ndarray
     spectrum: DopplerSpectrum | None = None
 
-    @property
-    def r0(self):
-        return float(np.real(self.values[0]))
-
-    def __len__(self):
-        return len(self.values)
-
 
 @dataclass
 class ChannelCovariance:
@@ -302,7 +298,7 @@ class ChannelCovariance:
     The Toeplitz matrix has entries R[l, l'] = r(l' - l). The circulant
     approximation wraps the autocorrelation tail into the first column; its
     eigenvalues (the DFT of that column) are stored clamped to >= 0 so they
-    can drive synthesis.
+    can drive the circulant model's draws.
     """
 
     P: int
@@ -311,10 +307,6 @@ class ChannelCovariance:
     @property
     def spectrum(self):
         return self.acf.spectrum
-
-    @property
-    def r0(self):
-        return self.acf.r0
 
     @cached_property
     def circulant_column(self):
@@ -345,10 +337,6 @@ class ChannelCovariance:
         # first column r(l), first row conj(r(l)) = r(-l)
         return toeplitz(np.asarray(self.acf.values, dtype=complex))
 
-    def circulant(self):
-        """Materialize the circulant approximation."""
-        return circulant(self.circulant_column)
-
 
 def build_covariance(spectrum, P):
     """Covariance of P successive samples of a process with the given spectrum."""
@@ -359,24 +347,6 @@ def build_covariance(spectrum, P):
     values = np.asarray(spectrum.autocorrelation(np.arange(P)))
     acf = AutocorrelationSequence(values=values, spectrum=spectrum)
     return ChannelCovariance(P=P, acf=acf)
-
-
-@dataclass(frozen=True)
-class FadingRealization:
-    """P time samples x M antennas of a stationary complex-Gaussian channel."""
-
-    samples: np.ndarray
-    seed: object
-    spectrum: DopplerSpectrum | None
-    method: str
-
-    @property
-    def P(self):
-        return self.samples.shape[0]
-
-    @property
-    def M(self):
-        return self.samples.shape[1]
 
 
 def complex_normal(rng, shape):
@@ -390,33 +360,3 @@ def complex_normal(rng, shape):
     out.imag = rng.standard_normal(shape)
     out /= np.sqrt(2.0)
     return out
-
-
-def synthesize_realization(cov, M, seed, method="exact"):
-    """Draw M independent antenna processes with the covariance's statistics.
-
-    method="exact" uses a quadrature of the spectral measure, summed at the
-    sample times by `nufft.Type1`, so the samples carry the exact Toeplitz
-    second-order statistics (to ~1e-12). It needs the generating spectrum.
-    method="circulant" scales white spectral coefficients by the square roots
-    of the clamped circulant eigenvalues and inverse-DFTs; it is exact for the
-    circulant model only: for autocorrelations that decay slowly relative to P
-    (bathtub spectra with F*P of order 10) the wrapped tail visibly distorts
-    the realized lags.
-    """
-    rng = np.random.default_rng(seed)
-    if method == "exact":
-        if cov.spectrum is None:
-            raise ValueError("exact synthesis needs the generating spectrum")
-        if cov.spectrum.kind == "sampled":
-            method = "circulant"  # the sampled grid *is* the circulant model
-    if method == "exact":
-        xi, amp = cov.spectrum.synthesis_nodes(max_lag=cov.P - 1)
-        samples = Type1(xi, cov.P)(amp[:, None] * complex_normal(rng, (xi.size, M)))
-    elif method == "circulant":
-        g = complex_normal(rng, (cov.P, M))
-        samples = np.sqrt(cov.P) * np.fft.ifft(np.sqrt(cov.eigenvalues)[:, None] * g, axis=0)
-    else:
-        raise ValueError(f"unknown synthesis method {method!r}")
-    return FadingRealization(samples=samples, seed=seed, spectrum=cov.spectrum, method=method)
-

@@ -1,36 +1,15 @@
-"""Acceptance suite: one test per shipped claim, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per shipped claim, each printing its PASS/FAIL lines.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report. The heavy default-scenario Monte-Carlo runs are shared through a
-session fixture; everything else recomputes from scratch at its stated
-tolerance.
+report. Criteria 1-6, 9, 10a and 10b are the registry of `psdalign.checks`,
+which `psdalign validate` runs too, each at its stated tolerance. Criteria 7,
+8 and 10c need the heavy default-scenario Monte-Carlo runs, shared through a
+session fixture, or files on disk, and stay here.
 """
 
-import math
-
 import numpy as np
-import pytest
-from scipy.linalg import toeplitz
 
-from psdalign.estimation import (
-    UplinkScene,
-    UplinkUser,
-    asymptotic_mse,
-    clarke_closed_form,
-    mmse_estimate,
-    mse_from_eigenvalues,
-    processing_gain_db,
-    small_alpha_mse,
-    taylor_check,
-)
-from psdalign.fading import (
-    DopplerSpectrum,
-    build_covariance,
-    clarke_autocorrelation,
-    complex_normal,
-    synthesize_realization,
-)
-from psdalign.pilots import fft_pilot, orthogonality_residual, plan_alignment, shift_orthogonal
+from psdalign.checks import REGISTRY
 from psdalign.simkit import ExperimentConfig, run_uplink, write_manifest, write_mse_csv
 
 
@@ -39,93 +18,21 @@ def report(number, title, ok, detail):
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def test_criterion_01_closed_form_consistency():
-    F = 0.01
-    worst = 0.0
-    for alpha in (0.05, 0.2, 1.0, 5.0):
-        noise = alpha / (math.pi * F)
-        quad = asymptotic_mse(DopplerSpectrum.clarke(F), 1.0, noise)
-        worst = max(worst, abs(quad - clarke_closed_form(alpha)))
-    report(1, "limit integral vs closed form", worst < 1e-6, f"max |diff| = {worst:.3e} < 1e-6")
+def registry_test(criterion):
+    """The test of one registry criterion: print each check's line, then assert them all."""
+
+    def test():
+        checks = list(criterion())
+        for check in checks:
+            print(check.line())
+        failed = [check.name for check in checks if not check.ok]
+        assert not failed, f"{criterion.__name__} failed: {failed}"
+
+    return test
 
 
-def test_criterion_02_boundary_value():
-    ref = 1.0 - 2.0 / math.pi
-    d0 = abs(clarke_closed_form(1.0) - ref)
-    d_lo = abs(clarke_closed_form(1.0 - 1e-6) - ref)
-    d_hi = abs(clarke_closed_form(1.0 + 1e-6) - ref)
-    ok = d0 < 1e-12 and d_lo < 1e-4 and d_hi < 1e-4
-    report(2, "closed-form boundary", ok, f"at 1: {d0:.1e}; branches: {d_lo:.1e}, {d_hi:.1e}")
-
-
-def test_criterion_03_taylor_residual():
-    ratios = {}
-    for alpha in (0.1, 0.01):
-        exact, series = taylor_check(alpha)
-        ratios[alpha] = abs(exact - series) / alpha**3
-    ok = ratios[0.1] <= 0.2 and ratios[0.01] <= 0.02
-    report(3, "cubic expansion residual", ok, f"ratios: {ratios[0.1]:.4f} @0.1, {ratios[0.01]:.4f} @0.01")
-
-
-def test_criterion_04_small_alpha_formula():
-    F, snr = 0.002, 1.0
-    approx = small_alpha_mse(F, snr)
-    exact = clarke_closed_form(math.pi * F)
-    rel = abs(exact - approx) / approx
-    gain = processing_gain_db(F, snr)
-    gain_err = abs(gain - 10.0 * math.log10(249.0))
-    ok = approx == 0.004 and rel < 0.01 and gain_err < 1e-6
-    report(
-        4,
-        "first-order MSE and processing gain",
-        ok,
-        f"mse {approx}, closed-form rel diff {rel:.4f}, gain err {gain_err:.1e} dB",
-    )
-
-
-def test_criterion_05_finite_p_convergence():
-    # eigenvalue-domain (grid-sampled spectrum) evaluation of the error trace,
-    # the pre-limit form of the limit integral, over the doubling ladder
-    F = 0.002
-    sp = DopplerSpectrum.clarke(F)
-    limit = clarke_closed_form(math.pi * F)
-    values = [mse_from_eigenvalues(sp.sample_eigenvalues(P), 1.0, 1.0) for P in (512, 1024, 2048, 4096)]
-    monotone = all(b < a for a, b in zip(values, values[1:]))
-    above = all(v > limit for v in values)
-    gap = (values[-1] - limit) / limit
-    ok = monotone and above and gap < 0.05
-    report(
-        5,
-        "finite-P convergence",
-        ok,
-        f"ladder {['%.5f' % v for v in values]} -> {limit:.5f}, final gap {gap:.2%} < 5%",
-    )
-
-
-def test_criterion_06_orthogonality_decay():
-    F = 0.002
-    residuals = []
-    for P in (512, 1024, 2048, 4096):
-        R = toeplitz(clarke_autocorrelation(F, np.arange(P)))
-        d = np.exp(2j * np.pi * (P // 2) * np.arange(P) / P)
-        residuals.append(orthogonality_residual(R, R, d))
-    P = 4096
-    R = toeplitz(clarke_autocorrelation(F, np.arange(P)))
-    residual_same = orthogonality_residual(R, R, np.ones(P))
-    lam = DopplerSpectrum.clarke(F).sample_eigenvalues(P)
-    ok = (
-        all(b < a for a, b in zip(residuals, residuals[1:]))
-        and residuals[-1] < 1e-3
-        and shift_orthogonal(lam, lam, P // 2)
-        and not shift_orthogonal(lam, lam, 0)
-        and residual_same > 1e-1
-    )
-    report(
-        6,
-        "orthogonality residual decay",
-        ok,
-        f"aligned {['%.2e' % r for r in residuals]}, dtau=0: {residual_same:.2e}",
-    )
+# one test per registry criterion, named test_<criterion>
+globals().update({f"test_{criterion.__name__}": registry_test(criterion) for criterion in REGISTRY})
 
 
 def test_criterion_07_interference_free_equivalence(default_scenario_runs):
@@ -158,67 +65,6 @@ def test_criterion_08_baseline_ordering(default_scenario_runs):
         f"DL SE {conventional.dl_se_sum:.2f} < {aligned.dl_se_sum:.2f} (gap {dl_gap:.2f}, CIs "
         f"{conventional.dl_se_halfwidth:.2f}/{aligned.dl_se_halfwidth:.2f})",
     )
-
-
-def test_criterion_09_capacity_rule():
-    F, P, K = 0.002, 4096, 249
-    plan = plan_alignment([F] * K, [], P)
-    lam = DopplerSpectrum.clarke(F).sample_eigenvalues(P)
-    pairwise = all(
-        shift_orthogonal(lam, lam, plan.shifts[g] - plan.shifts[k])
-        for k in range(K)
-        for g in range(k + 1, K)
-    )
-    ok = plan.K >= 249 and plan.is_valid() and pairwise and plan.pairwise_orthogonal()
-    report(9, "capacity rule", ok, f"{plan.K} users packed at P={P} (ideal bound {1 / (2 * F):.0f}), all pairs orthogonal")
-
-
-def test_criterion_10a_orthogonality_principle():
-    P, draws = 16, 500
-    cov = build_covariance(DopplerSpectrum.clarke(0.05), P)
-    scene = UplinkScene(
-        users=(
-            UplinkUser(1.0, fft_pilot(0, P), cov),
-            UplinkUser(1.0, fft_pilot(P // 2, P), cov),
-        ),
-        noise_var=1.0,
-    )
-    acc = np.zeros((P, P), dtype=complex)
-    acc2 = np.zeros((P, P))
-    for t in range(draws):
-        h0 = synthesize_realization(cov, 1, seed=(50, t, 0)).samples[:, 0]
-        h1 = synthesize_realization(cov, 1, seed=(50, t, 1)).samples[:, 0]
-        w = complex_normal(np.random.default_rng((50, t, 2)), (P,))
-        y = scene.users[0].pilot.values * h0 + scene.users[1].pilot.values * h1 + w
-        eps = h0 - mmse_estimate(y, scene, 0)
-        outer = np.outer(eps, np.conj(y))
-        acc += outer
-        acc2 += np.abs(outer) ** 2
-    mean = acc / draws
-    var = np.maximum(acc2 / draws - np.abs(mean) ** 2, 1e-300)
-    z = np.abs(mean) / np.sqrt(var / draws)
-    ok = float(z.max()) < 4.0
-    report(10, "orthogonality principle", ok, f"max |z| = {z.max():.2f} < 4 over {draws} draws")
-
-
-def test_criterion_10b_synthesis_autocorrelation():
-    F, P, M, seeds = 0.002, 1024, 128, 100
-    cov = build_covariance(DopplerSpectrum.clarke(F), P)
-    lags = np.arange(0, 11)
-    per_seed = np.empty((seeds, lags.size))
-    for sidx in range(seeds):
-        h = synthesize_realization(cov, M, seed=(60, sidx)).samples
-        for j, v in enumerate(lags):
-            if v == 0:
-                per_seed[sidx, j] = np.mean(np.abs(h) ** 2)
-            else:
-                per_seed[sidx, j] = np.mean((h[: P - v] * np.conj(h[v:])).real)
-    mean = per_seed.mean(axis=0)
-    se = per_seed.std(axis=0, ddof=1) / math.sqrt(seeds)
-    target = clarke_autocorrelation(F, lags)
-    z = np.abs(mean - target) / se
-    ok = bool(np.all(z < 3.0))
-    report(10, "synthesis autocorrelation", ok, f"max |z| = {z.max():.2f} < 3 at lags 0-10")
 
 
 def test_criterion_10c_determinism(tmp_path):

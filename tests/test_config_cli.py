@@ -156,6 +156,8 @@ class TestCli:
             "zero_doppler": {"users": {"doppler_hz": 0}},
             "negative_dl_lag": {"run": {"dl_lag": -3}},
             "hadamard_user_count_not_power_of_two": {"users": {"count": 3}},
+            "negative_tolerance_scale": {"run": {"tolerance_scale": -2}},
+            "nan_tolerance_scale": {"run": {"tolerance_scale": float("nan")}},
         }
         for name, bad in cases.items():
             doc = dict(TINY)
@@ -166,6 +168,13 @@ class TestCli:
             assert code == 2, name
             assert "config error" in capsys.readouterr().err, name
             assert not (out / "mse.csv").exists(), name
+
+    def test_bad_tolerance_scale_flag_exit_two(self, tmp_path, capsys):
+        for value in ("nan", "inf", "0", "-2"):
+            out = tmp_path / value
+            assert main(["validate", "--tolerance-scale", value, "--out", str(out)]) == 2, value
+            assert "config error" in capsys.readouterr().err, value
+            assert not (out / "report.txt").exists(), value
 
     def test_validate_passes_at_default_tolerances(self, tmp_path, capsys):
         out = tmp_path / "o"

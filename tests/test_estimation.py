@@ -20,9 +20,10 @@ from psdalign.estimation import (
     taylor_check,
 )
 from psdalign import estimation
-from psdalign.fading import DopplerSpectrum, build_covariance, complex_normal, synthesize_realization
+from psdalign.fading import DopplerSpectrum, build_covariance, complex_normal
 from psdalign.pilots import fft_pilot, hadamard_pilots
 from psdalign.quadrature import adaptive_gl
+from psdalign.simkit import ExactModel
 
 
 def clarke_scene(F, P, noise_var, shifts=(0,), power=1.0):
@@ -60,12 +61,12 @@ class TestMmseEstimate:
         F, P, M, trials = 0.002, 1024, 500, 4
         scene = clarke_scene(F, P, 1.0, shifts=(0, P // 2))
         reference = interference_free_mse(scene, 0)
-        cov = scene.users[0].covariance
+        model = ExactModel(DopplerSpectrum.clarke(F), P)
         total = 0.0
         for t in range(trials):
             rng = np.random.default_rng((2024, t))
-            h0 = synthesize_realization(cov, M, seed=(1, t)).samples
-            h1 = synthesize_realization(cov, M, seed=(2, t)).samples
+            h0 = model.draw(np.random.default_rng((1, t)), M)[0]
+            h1 = model.draw(np.random.default_rng((2, t)), M)[0]
             w = complex_normal(rng, (P, M))
             y = (
                 scene.users[0].pilot.values[:, None] * h0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import circulant
 
 from psdalign.fading import (
     DopplerSpectrum,
@@ -15,8 +16,8 @@ from psdalign.fading import (
     flat_psd,
     grid_frequencies,
     stacked_psd,
-    synthesize_realization,
 )
+from psdalign.simkit import CirculantModel, ExactModel
 
 
 class TestClarkeAutocorrelation:
@@ -142,7 +143,7 @@ class TestBuildCovariance:
         samples[0] = P
         cov = build_covariance(DopplerSpectrum.sampled(samples), P)
         assert np.allclose(cov.acf.values, 1.0)
-        C = cov.circulant()
+        C = circulant(cov.circulant_column)
         assert np.allclose(C, np.ones((P, P)))
         lam = np.sort(cov.eigenvalues)[::-1]
         assert abs(lam[0] - P) < 1e-9 and np.all(np.abs(lam[1:]) < 1e-9)
@@ -190,38 +191,43 @@ def test_complex_normal_bits_unchanged(shape):
     assert np.array_equal(np.atleast_1d(new).view(float), np.atleast_1d(old).view(float))
 
 
+def window(model, rng_seed, M):
+    """The (P, M) window of one model draw."""
+    return model.draw(np.random.default_rng(rng_seed), M)[0]
+
+
 class TestSynthesis:
+    """Channel draws through the simulator's models; sampled spectra use the circulant one."""
+
     def test_zero_spectrum_gives_zero_realization(self):
         P = 32
-        cov = build_covariance(DopplerSpectrum.sampled(np.zeros(P)), P)
-        fr = synthesize_realization(cov, 1, seed=3)
-        assert np.all(fr.samples == 0)
+        h = window(CirculantModel(DopplerSpectrum.sampled(np.zeros(P)), P), 3, 1)
+        assert np.all(h == 0)
 
     def test_constant_channel_columns_constant(self):
         P = 64
         samples = np.zeros(P)
         samples[0] = P
-        cov = build_covariance(DopplerSpectrum.sampled(samples), P)
-        fr = synthesize_realization(cov, 4, seed=5)
-        assert np.allclose(fr.samples, fr.samples[0:1, :])
-        assert not np.allclose(fr.samples[0], 0)
+        h = window(CirculantModel(DopplerSpectrum.sampled(samples), P), 5, 4)
+        assert np.allclose(h, h[0:1, :])
+        assert not np.allclose(h[0], 0)
 
     def test_deterministic_given_seed(self):
-        cov = build_covariance(DopplerSpectrum.clarke(0.01), 128)
-        a = synthesize_realization(cov, 3, seed=11).samples
-        b = synthesize_realization(cov, 3, seed=11).samples
+        model = ExactModel(DopplerSpectrum.clarke(0.01), 128)
+        a = window(model, 11, 3)
+        b = window(model, 11, 3)
         assert np.array_equal(a, b)
-        c = synthesize_realization(cov, 3, seed=12).samples
+        c = window(model, 12, 3)
         assert not np.array_equal(a, c)
 
     def test_exact_synthesis_matches_bathtub_autocorrelation(self):
         # Monte-Carlo sample autocorrelation vs J0 with an analytic SE bound
         F, P, M, seeds = 0.002, 1024, 32, 24
-        cov = build_covariance(DopplerSpectrum.clarke(F), P)
+        model = ExactModel(DopplerSpectrum.clarke(F), P)
         lags = np.arange(0, 11)
         per_seed = []
         for s in range(seeds):
-            h = synthesize_realization(cov, M, seed=(101, s)).samples
+            h = window(model, (101, s), M)
             per_seed.append(
                 [np.mean((h[: P - v] * np.conj(h[v:])).real) if v else np.mean(np.abs(h) ** 2) for v in lags]
             )
@@ -233,8 +239,7 @@ class TestSynthesis:
 
     def test_whiteness_of_full_band(self):
         P, M = 2048, 4
-        cov = build_covariance(DopplerSpectrum.flat_band(-0.5, 0.5), P)
-        h = synthesize_realization(cov, M, seed=21).samples
+        h = window(ExactModel(DopplerSpectrum.flat_band(-0.5, 0.5), P), 21, M)
         n_samples = P * M
         for v in range(1, 21):
             r = np.mean(h[: P - v] * np.conj(h[v:]))
@@ -253,32 +258,25 @@ class TestSynthesis:
         assert np.max(np.abs(realized - cov.toeplitz())) < 1e-10
 
     def test_circulant_method_available(self):
-        cov = build_covariance(DopplerSpectrum.clarke(0.05), 256)
-        fr = synthesize_realization(cov, 2, seed=9, method="circulant")
-        assert fr.samples.shape == (256, 2)
-        # second-order stats match the circulant model, not the bathtub lags
-        assert fr.method == "circulant"
+        # circulant synthesis is the simulator's default channel model
+        assert window(CirculantModel(DopplerSpectrum.clarke(0.05), 256), 9, 2).shape == (256, 2)
 
     def test_mean_power_converges(self):
-        cov = build_covariance(DopplerSpectrum.clarke(0.05), 512)
-        h = synthesize_realization(cov, 64, seed=31).samples
+        h = window(ExactModel(DopplerSpectrum.clarke(0.05), 512), 31, 64)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.05
 
     def test_antenna_columns_independent(self):
         # cross-antenna correlation over many draws stays at the noise floor
         P, seeds = 256, 60
-        cov = build_covariance(DopplerSpectrum.clarke(0.01), P)
+        model = ExactModel(DopplerSpectrum.clarke(0.01), P)
         cross = []
         for s in range(seeds):
-            h = synthesize_realization(cov, 2, seed=(41, s)).samples
+            h = window(model, (41, s), 2)
             cross.append(np.mean(h[:, 0] * np.conj(h[:, 1])))
         cross = np.asarray(cross)
         se = cross.std(ddof=1) / math.sqrt(seeds)
         assert abs(cross.mean()) < 4 * se
         # while same-antenna power is pinned at r0 (a narrowband window holds
         # few coherence intervals, so the per-draw spread is wide)
-        powers = [
-            np.mean(np.abs(synthesize_realization(cov, 1, seed=(42, s)).samples) ** 2)
-            for s in range(60)
-        ]
+        powers = [np.mean(np.abs(window(model, (42, s), 1)) ** 2) for s in range(60)]
         assert abs(np.mean(powers) - 1.0) < 0.2

@@ -40,7 +40,7 @@ IMPORTS = {path.stem: psdalign_imports(path) for path in sorted(PACKAGE.glob("*.
 
 
 def test_every_layer_is_scanned():
-    assert {"config", "cli", "simkit", *LOWER} <= set(IMPORTS)
+    assert {"config", "cli", "checks", "simkit", *LOWER} <= set(IMPORTS)
 
 
 def test_config_imports_no_psdalign_module():
@@ -63,6 +63,13 @@ def test_lower_layers_import_neither_simkit_nor_cli(module):
 def test_nothing_imports_cli():
     importers = sorted(name for name, imports in IMPORTS.items() if "cli" in imports and name != "cli")
     assert importers == []
+
+
+def test_only_cli_imports_checks():
+    # the package import (and so the planning cold start) never loads the registry
+    importers = sorted(name for name, imports in IMPORTS.items() if "checks" in imports and name != "checks")
+    assert importers == ["cli"]
+    assert "cli" not in IMPORTS["checks"]
 
 
 def test_scanner_reads_relative_and_absolute_imports(tmp_path):

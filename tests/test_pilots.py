@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from psdalign import pilots
@@ -198,14 +198,10 @@ class TestStructuredResidual:
         assert dense.call_count == 1
 
     def test_criterion_6_and_validate_never_form_the_dense_product(self):
-        from test_acceptance import test_criterion_06_orthogonality_decay
-
-        from psdalign.cli import run_validation_checks
-        from psdalign.config import ExperimentConfig
+        from psdalign.checks import run_checks
 
         with counting_dense() as dense:
-            test_criterion_06_orthogonality_decay()
-            checks = run_validation_checks(ExperimentConfig())
+            checks = run_checks()
         assert any(c.name.startswith("orthogonality_residual") for c in checks)
         assert dense.call_count == 0
 
@@ -456,15 +452,19 @@ class TestSupportRuns:
 
 
 class TestCircularGeometry:
-    @given(st.data())
+    @given(
+        lo_a=st.floats(0.0, 1.0),
+        wa=st.floats(0.01, 0.45),
+        lo_b=st.floats(0.0, 1.0),
+        wb=st.floats(0.01, 0.45),
+    )
+    # overlap of exactly 1e-12, the touching band's edge: the two directions
+    # land a few 1e-17 apart on either side of it
+    @example(lo_a=0.125, wa=0.25, lo_b=1e-12, wb=0.125)
     @settings(max_examples=80, deadline=None)
-    def test_gap_against_dense_sampling(self, data):
+    def test_gap_against_dense_sampling(self, lo_a, wa, lo_b, wb):
         from psdalign.pilots import _circular_gap
 
-        lo_a = data.draw(st.floats(0.0, 1.0))
-        wa = data.draw(st.floats(0.01, 0.45))
-        lo_b = data.draw(st.floats(0.0, 1.0))
-        wb = data.draw(st.floats(0.01, 0.45))
         gap = _circular_gap((lo_a, lo_a + wa), (lo_b, lo_b + wb))
         # brute force: dense points of b, distance-to-a on the circle
         t = lo_b + np.linspace(0, wb, 4001)
@@ -482,7 +482,9 @@ class TestCircularGeometry:
         elif gap < -1e-12:
             assert mirror < 1e-12
         else:
-            assert abs(mirror) < 1e-12
+            # near touching both directions evaluate the same two differences
+            # (the arcs' starts differ by at least a width), up to rounding
+            assert abs(mirror - gap) <= 1e-15
 
 
 class TestPlanPilotsIntegration:
