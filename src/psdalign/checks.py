@@ -127,7 +127,7 @@ def criterion_10a_orthogonality_principle():
     acc = np.zeros((P, P), dtype=complex)
     acc2 = np.zeros((P, P))
     for t in range(draws):
-        h0, h1 = (model.draw(np.random.default_rng((50, t, k)), 1)[0][:, 0] for k in (0, 1))
+        h0, h1 = (model.draw(np.random.default_rng((50, t, k)), 1).window[0] for k in (0, 1))
         y = x0 * h0 + x1 * h1 + complex_normal(np.random.default_rng((50, t, 2)), (P,))
         outer = np.outer(h0 - estimation.mmse_estimate(y, scene, 0), np.conj(y))
         acc += outer
@@ -145,9 +145,9 @@ def criterion_10b_synthesis_autocorrelation():
     lags = np.arange(0, 11)
     per_seed = np.empty((seeds, lags.size))
     for sidx in range(seeds):
-        h = model.draw(np.random.default_rng((60, sidx)), M)[0]
+        h = model.draw(np.random.default_rng((60, sidx)), M).window  # (M, P)
         per_seed[sidx, 0] = np.mean(np.abs(h) ** 2)
-        per_seed[sidx, 1:] = [np.mean((h[: P - v] * np.conj(h[v:])).real) for v in lags[1:]]
+        per_seed[sidx, 1:] = [np.mean((h[:, : P - v] * np.conj(h[:, v:])).real) for v in lags[1:]]
     se = per_seed.std(axis=0, ddof=1) / math.sqrt(seeds)
     z = np.abs(per_seed.mean(axis=0) - clarke_autocorrelation(F, lags)) / se
     yield Check("synthesis_autocorrelation_3se", float(z.max()), "<", 3.0)

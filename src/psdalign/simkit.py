@@ -1,12 +1,15 @@
 """Monte-Carlo harness: multi-user uplink sounding with inter-cell
 contamination, per-user estimation quality, and TDD downlink beamforming.
 
-Two channel models share one trial path. A model draws a process's window
-and its downlink sample, applies its covariance to a block of estimator
-weights, and provides that covariance, as the first column of the Hermitian
-Toeplitz matrix or as the P x P matrix, for the observation covariance. Users
-share one model on the Clarke spectrum; contamination is a second instance of
-the same class on the flat-band spectrum.
+Two channel models share one trial path, which works in the (M, P) layout:
+one row of P window slots per antenna, so every FFT runs along the contiguous
+axis. A model draws a process's window and its downlink sample together with
+the draw in its own basis, and `estimate` turns a block of estimator weights
+into the user's error power and last-slot estimate in that basis. It also
+provides its covariance, as the first column of the Hermitian Toeplitz matrix
+or as the P x P matrix, for the observation covariance. Users share one model
+on the Clarke spectrum; contamination is a second instance of the same class
+on the flat-band spectrum.
 
 With exponential-ramp (PSD-aligned) pilots the observation covariance is
 Hermitian Toeplitz, and trials solve with its Gohberg-Semencul inverse
@@ -16,14 +19,17 @@ factor the dense matrix by Cholesky.
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
   the estimator use exactly that model, so desk-scale runs converge to the
-  asymptotic formulas.
+  asymptotic formulas. That covariance is diagonal on the DFT grid, so the
+  model keeps each draw's spectrum and estimates there: one FFT a user, the
+  error power by Parseval, and the last-slot estimate as one row of the
+  inverse DFT.
 - `ExactModel` draws samples with the exact Toeplitz statistics of the
   underlying continuous-time process; its window-averaged error converges to
   the same limit but visibly slower, which is itself one of the toolkit's
   cross-checks. A draw sums complex exponentials at the nodes of a quadrature
   of the spectral measure, through the type-1 NUFFT of `psdalign.nufft`
   (directly for the few nodes of a narrow Clarke band): no P x Q matrix is
-  kept.
+  kept. It estimates in the time domain with its Toeplitz product.
 """
 
 import json
@@ -34,6 +40,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
@@ -120,19 +127,38 @@ def _model_eigenvalues(spectrum, P):
     return lam
 
 
+class ChannelDraw(NamedTuple):
+    """One draw of M antennas, in the (M, P) layout.
+
+    `window` holds the P window slots, `downlink` the (M,) sample `dl_lag`
+    slots past them, and `basis` the draw as the model's `estimate` reads it.
+    """
+
+    window: np.ndarray
+    downlink: np.ndarray
+    basis: np.ndarray
+
+
+def _inverse_dft_row(P, n):
+    """Row n of the inverse DFT: slot n of ifft(c) is this row dotted with c."""
+    return np.exp(2j * np.pi * np.arange(P) * n / P) / P
+
+
 class CirculantModel:
     """Window-stationary draws from the renormalized circulant eigenvalues.
 
-    The downlink sample lies `dl_lag` slots past the window, on the periodic
-    extension. The P x P covariance is built on request and not kept: only
-    the dense observation covariance needs it.
+    A draw's basis is its spectrum c = sqrt(P lam) g for white g, the DFT of
+    the window h = ifft(c). The downlink sample lies `dl_lag` slots past the
+    window, on the periodic extension. The P x P covariance is built on
+    request and not kept: only the dense observation covariance needs it.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
         self.P = P
         self.lam = _model_eigenvalues(spectrum, P)
-        # row of the inverse unitary DFT at the downlink slot
-        self.dl_phase = np.exp(2j * np.pi * np.arange(P) * (P - 1 + dl_lag) / P) / math.sqrt(P)
+        self._scale = np.sqrt(P * self.lam)
+        self._last = _inverse_dft_row(P, P - 1)
+        self._dl = _inverse_dft_row(P, P - 1 + dl_lag)
 
     def column(self):
         """First column of the circulant covariance."""
@@ -142,13 +168,22 @@ class CirculantModel:
         return circulant(self.column())
 
     def draw(self, rng, M):
-        """(P, M) window and (M,) downlink sample of M independent antennas."""
-        coeff = np.sqrt(self.lam)[:, None] * complex_normal(rng, (self.P, M))
-        return math.sqrt(self.P) * np.fft.ifft(coeff, axis=0), self.dl_phase @ coeff
+        """A ChannelDraw; the basis is the window's DFT along each row."""
+        # a (P, M) draw transposed: the random stream of the (P, M) layout
+        spectrum = np.multiply(complex_normal(rng, (self.P, M)).T, self._scale, order="C")
+        return ChannelDraw(np.fft.ifft(spectrum), spectrum @ self._dl, spectrum)
 
-    def apply(self, W):
-        """The covariance times a (P, M) block."""
-        return np.fft.ifft(self.lam[:, None] * np.fft.fft(W, axis=0), axis=0)
+    def estimate(self, basis, W):
+        """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W.
+
+        The error power is the mean of |h - h_hat|^2 over the window, with h
+        the draw whose basis is given: by Parseval, ||c - fft(h_hat)||^2 / (P^2 M).
+        """
+        E = np.fft.fft(W)
+        E *= self.lam
+        last = E @ self._last
+        E -= basis
+        return float(np.vdot(E, E).real) / (E.size * self.P), last
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE of the estimator under this model."""
@@ -181,11 +216,16 @@ class ExactModel:
         return self.cov.toeplitz()
 
     def draw(self, rng, M):
-        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
-        return block[: self.P], block[-1]
+        """A ChannelDraw; the basis is the window itself."""
+        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M))).T
+        window = block[:, : self.P]
+        return ChannelDraw(window, block[:, -1], window)
 
-    def apply(self, W):
-        return self.toeplitz.matvec(W)
+    def estimate(self, basis, W):
+        """Error power and (M,) last-slot estimate of h_hat = R W, by the Toeplitz product."""
+        h_hat = self.toeplitz.matvec(W.T).T
+        error = basis - h_hat
+        return float(np.vdot(error, error).real) / error.size, h_hat[:, -1]
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE: sigma^2 (P - sigma^2 tr(B^{-1})) / (rho P).
@@ -246,6 +286,9 @@ def _setup(config, P):
     s.sigma2 = config.noise_var
     s.sigma2_dl = s.sigma2 if config.dl_snr_db is None else s.rho_dl / 10.0 ** (config.dl_snr_db / 10.0)
     s.pilot_matrix = np.stack([p.values for p in sequences])  # (K, P)
+    # what a trial sends, sqrt(rho) x_k, and its estimator weights, sqrt(rho) conj(x_k)
+    s.tx = math.sqrt(s.rho) * s.pilot_matrix
+    s.weights = np.conj(s.tx)
     s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag)
     s.cont = None if cont is None else model(cont, P)
     if _ramp_pilots(sequences):
@@ -262,31 +305,47 @@ def _setup(config, P):
     return s
 
 
-def _trial(s, rng, include_dl):
-    # fixed draw order: users, then contamination, then noise
-    draws = [s.user.draw(rng, s.M) for _ in range(s.K)]
-    y = np.zeros((s.P, s.M), dtype=complex)
-    for x, (h, _) in zip(s.pilot_matrix, draws):
-        y += math.sqrt(s.rho) * x[:, None] * h
+def _sound(s, rng):
+    """One trial's uplink: per-user error power, received power, and the
+    (K, M) downlink truths and the estimates that steer the beams."""
+    # fixed draw order: users, then contamination, then noise; each user's
+    # window is added to y as soon as it is drawn, and only its basis is kept
+    y = np.zeros((s.M, s.P), dtype=complex)
+    term = np.empty_like(y)
+    bases = []
+    truths = np.empty((s.K, s.M), dtype=complex)
+    estimates = np.empty_like(truths)
+    for k in range(s.K):
+        window, truths[k], basis = s.user.draw(rng, s.M)
+        bases.append(basis)
+        if s.perfect_csi:
+            estimates[k] = window[:, -1]
+        y += np.multiply(s.tx[k], window, out=term)
+    del window, term
     if s.cont is not None:
-        y += s.cont.draw(rng, s.M)[0]
-    y += math.sqrt(s.sigma2) * complex_normal(rng, (s.P, s.M))
+        y += s.cont.draw(rng, s.M).window
+    noise = complex_normal(rng, (s.P, s.M))
+    noise *= math.sqrt(s.sigma2)
+    y += noise.T
+    del noise
 
-    rx_power = float(np.mean(np.abs(y) ** 2))
+    rx_power = float(np.vdot(y, y).real) / y.size
 
-    Z = s.solve(y)
+    Z = s.solve(y.T).T
     nmse = np.empty(s.K)
-    estimates_dl = []
-    for k, (x, (h, _)) in enumerate(zip(s.pilot_matrix, draws)):
-        h_hat = math.sqrt(s.rho) * s.user.apply(np.conj(x)[:, None] * Z)
+    for k, basis in enumerate(bases):
         # per-element error power == ||err||^2 / (P * r0) per antenna with r0 = 1
-        nmse[k] = float(np.mean(np.abs(h - h_hat) ** 2))
-        estimates_dl.append(h[-1] if s.perfect_csi else h_hat[-1])
+        nmse[k], estimate = s.user.estimate(basis, s.weights[k] * Z)
+        if not s.perfect_csi:
+            estimates[k] = estimate
+    return nmse, rx_power, truths, estimates
 
+
+def _trial(s, rng, include_dl):
+    nmse, rx_power, truths, estimates = _sound(s, rng)
     out = {"nmse": nmse, "rx_power": rx_power}
     if include_dl:
-        truths = np.stack([h_dl for _, h_dl in draws])
-        out["se"] = _matched_filter_se(s, truths, np.stack(estimates_dl))
+        out["se"] = _matched_filter_se(s, truths, estimates)
     return out
 
 

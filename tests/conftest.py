@@ -1,8 +1,11 @@
 import logging
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from psdalign import checks, pilots
 from psdalign.simkit import ExperimentConfig, run_downlink
 
 # the circulant-model warning about clamped eigenvalue mass fires by design
@@ -21,6 +24,32 @@ def default_scenario_runs():
     aligned = run_downlink(cfg)
     conventional = run_downlink(ExperimentConfig(scheme="hadamard"))
     return cfg, aligned, conventional
+
+
+@pytest.fixture(scope="session")
+def registry_run():
+    """One run of the check registry at tolerance scale 1, shared by the tests that read it.
+
+    `checks` is what `run_checks(1.0)` returns, `by_criterion` maps each
+    registry function's name to the checks it yielded, and `dense_calls`
+    counts the dense orthogonality-residual products the run formed.
+    """
+    by_criterion = {}
+
+    def recorded(criterion):
+        def run():
+            by_criterion[criterion.__name__] = list(criterion())
+            return by_criterion[criterion.__name__]
+
+        return run
+
+    registry = tuple(recorded(criterion) for criterion in checks.REGISTRY)
+    with (
+        mock.patch.object(checks, "REGISTRY", registry),
+        mock.patch.object(pilots, "_dense_norm", wraps=pilots._dense_norm) as dense,
+    ):
+        measured = checks.run_checks(1.0)
+    return SimpleNamespace(checks=measured, by_criterion=by_criterion, dense_calls=dense.call_count)
 
 
 def assert_close(actual, expected, tol, label=""):

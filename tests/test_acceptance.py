@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. Criteria 1-6, 9, 10a and 10b are the registry of `psdalign.checks`,
-which `psdalign validate` runs too, each at its stated tolerance. Criteria 7,
+which `psdalign validate` runs too, each at its stated tolerance; the suite
+runs the registry once, in the `registry_run` session fixture. Criteria 7,
 8 and 10c need the heavy default-scenario Monte-Carlo runs, shared through a
 session fixture, or files on disk, and stay here.
 """
@@ -21,8 +22,8 @@ def report(number, title, ok, detail):
 def registry_test(criterion):
     """The test of one registry criterion: print each check's line, then assert them all."""
 
-    def test():
-        checks = list(criterion())
+    def test(registry_run):
+        checks = registry_run.by_criterion[criterion.__name__]
         for check in checks:
             print(check.line())
         failed = [check.name for check in checks if not check.ok]

@@ -1,7 +1,7 @@
 import numpy as np
 
 from psdalign import checks
-from psdalign.checks import Check, run_checks
+from psdalign.checks import Check
 
 # every registry measurement at tolerance scale 1, recorded before the checks
 # moved into the registry (the Monte-Carlo ones drawn by the synthesis routine
@@ -35,8 +35,8 @@ PINNED_MEASUREMENTS = {
 }
 
 
-def test_registry_matches_recorded_values():
-    measured = {check.name: check.measured for check in run_checks(1.0)}
+def test_registry_matches_recorded_values(registry_run):
+    measured = {check.name: check.measured for check in registry_run.checks}
     assert list(measured) == list(PINNED_MEASUREMENTS)
     for name, value in PINNED_MEASUREMENTS.items():
         # atol: the closed-form residues near 1e-12 are rounding noise

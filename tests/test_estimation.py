@@ -65,8 +65,8 @@ class TestMmseEstimate:
         total = 0.0
         for t in range(trials):
             rng = np.random.default_rng((2024, t))
-            h0 = model.draw(np.random.default_rng((1, t)), M)[0]
-            h1 = model.draw(np.random.default_rng((2, t)), M)[0]
+            h0 = model.draw(np.random.default_rng((1, t)), M).window.T
+            h1 = model.draw(np.random.default_rng((2, t)), M).window.T
             w = complex_normal(rng, (P, M))
             y = (
                 scene.users[0].pilot.values[:, None] * h0

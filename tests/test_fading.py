@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ class TestBuildCovariance:
         with pytest.raises(ValueError):
             build_covariance(DopplerSpectrum.clarke(0.01), 1)
 
+    @pytest.mark.parametrize("P", [63, 64])
+    def test_sampled_autocorrelation_matches_dense_form(self, P):
+        samples = np.random.default_rng(P).uniform(0.0, 2.0, P)
+        sp = DopplerSpectrum.sampled(samples)
+        values = build_covariance(sp, P).acf.values
+        dense = sp.autocorrelation(np.arange(P))
+        assert np.max(np.abs(values - dense)) <= 1e-12 * sp.power
+        # fractional lags keep the dense grid sum
+        lags = np.array([0.25, 1.5, P - 0.75])
+        xi = grid_frequencies(P)
+        want = np.exp(2j * np.pi * np.outer(lags, xi)) @ samples / P
+        assert np.max(np.abs(sp.autocorrelation(lags) - want)) <= 1e-12 * sp.power
+
+    def test_sampled_model_builds_without_a_dense_product(self):
+        # the P x P complex-exponential product took 1.2-1.5 s and 512 MB at this size
+        sp = DopplerSpectrum.sampled(np.ones(4096))
+        start = time.perf_counter()
+        model = CirculantModel(sp, 4096)
+        assert time.perf_counter() - start < 0.25
+        np.testing.assert_allclose(model.lam, 1.0, rtol=1e-12)
+
 
 @pytest.mark.parametrize("shape", [(), (1024,), (1024, 16)])
 def test_complex_normal_bits_unchanged(shape):
@@ -193,7 +215,7 @@ def test_complex_normal_bits_unchanged(shape):
 
 def window(model, rng_seed, M):
     """The (P, M) window of one model draw."""
-    return model.draw(np.random.default_rng(rng_seed), M)[0]
+    return model.draw(np.random.default_rng(rng_seed), M).window.T
 
 
 class TestSynthesis:

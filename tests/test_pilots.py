@@ -197,13 +197,9 @@ class TestStructuredResidual:
             orthogonality_residual(R, R, np.diag(fft_pilot(8, 16).values))
         assert dense.call_count == 1
 
-    def test_criterion_6_and_validate_never_form_the_dense_product(self):
-        from psdalign.checks import run_checks
-
-        with counting_dense() as dense:
-            checks = run_checks()
-        assert any(c.name.startswith("orthogonality_residual") for c in checks)
-        assert dense.call_count == 0
+    def test_criterion_6_and_validate_never_form_the_dense_product(self, registry_run):
+        assert any(c.name.startswith("orthogonality_residual") for c in registry_run.checks)
+        assert registry_run.dense_calls == 0
 
 
 class TestShiftOrthogonal:

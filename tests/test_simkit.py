@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 
 from psdalign import estimation, fading, pilots, simkit
 from psdalign.fading import DopplerSpectrum
@@ -84,10 +87,13 @@ class TestDeterminism:
         assert a == b
 
     def test_jobs_do_not_change_results(self):
+        # a circulant downlink run; trials on a thread pool share the set-up
+        # read-only and allocate their own buffers, so every field is bit-identical
         a = run_experiment(small_config())
         b = run_experiment(small_config(jobs=2))
         assert a.nmse_empirical == b.nmse_empirical
         assert a.dl_se_sum == b.dl_se_sum
+        assert a == b
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config())
@@ -206,7 +212,7 @@ class TestDownlink:
     def test_zero_norm_estimate_skipped_with_warning(self, caplog):
         cfg = small_config(users=2, trials=1, observation_length=64)
         s = simkit._setup(cfg, 64)
-        s.rho = 0.0  # forces exactly-zero estimates
+        s.weights = np.zeros_like(s.weights)  # forces exactly-zero estimates
         with caplog.at_level(logging.WARNING, logger="psdalign.simkit"):
             out = simkit._trial(s, np.random.default_rng(0), include_dl=True)
         assert np.all(out["se"] == 0.0)
@@ -288,6 +294,85 @@ class TestStructuredSolver:
         dense = estimation.error_covariance(scene, 0)[1]
         mse = simkit.ExactModel(spectrum, P).mse(cfg.user_power, cfg.noise_var)
         assert mse == pytest.approx(dense, rel=1e-9)
+
+
+def time_domain_draw(model, rng, M, dl_lag):
+    """(P, M) window and (M,) downlink sample of one draw, as the time-domain formulas give them."""
+    if isinstance(model, simkit.CirculantModel):
+        coeff = np.sqrt(model.lam)[:, None] * fading.complex_normal(rng, (model.P, M))
+        dl_phase = np.exp(2j * np.pi * np.arange(model.P) * (model.P - 1 + dl_lag) / model.P)
+        return math.sqrt(model.P) * np.fft.ifft(coeff, axis=0), dl_phase @ coeff / math.sqrt(model.P)
+    block = model.synthesis(model.amp[:, None] * fading.complex_normal(rng, (model.amp.size, M)))
+    return block[: model.P], block[-1]
+
+
+class TestChannelDraws:
+    @pytest.mark.parametrize("name", ["circulant", "exact"])
+    @pytest.mark.parametrize("dl_lag", [0, 2])
+    def test_window_and_downlink_match_time_domain_formulas(self, name, dl_lag):
+        # checks.py and tests/test_fading.py read draw(...).window as the (M, P) transpose of these
+        P, M = 64, 3
+        model = simkit._MODELS[name](DopplerSpectrum.clarke(0.05), P, dl_lag)
+        draw = model.draw(np.random.default_rng(8), M)
+        window, downlink = time_domain_draw(model, np.random.default_rng(8), M, dl_lag)
+        assert draw.window.shape == (M, P)
+        np.testing.assert_allclose(draw.window.T, window, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(draw.downlink, downlink, rtol=0, atol=1e-14)
+        if name == "exact":
+            assert np.array_equal(draw.window.T, window)
+
+
+class TestTrialAgainstDenseOracle:
+    """The trial's per-user error power and downlink estimates against dense matrices.
+
+    The dense route solves E[y y^H] z = y by Cholesky and estimates
+    h_hat_k = sqrt(rho) R (conj(x_k) z) with the model's P x P covariance.
+    """
+
+    @given(
+        channel_model=st.sampled_from(["circulant", "exact"]),
+        P=st.integers(8, 256),
+        shifts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+        M=st.integers(1, 3),
+        contamination=st.booleans(),
+        perfect_csi=st.booleans(),
+        dl_lag=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_route(self, channel_model, P, shifts, M, contamination, perfect_csi, dl_lag, seed):
+        cfg = ExperimentConfig(
+            observation_length=P,
+            users=len(shifts),
+            shifts=tuple(shifts),
+            antennas=M,
+            contamination_inr_db=0.0 if contamination else None,
+            perfect_csi=perfect_csi,
+            dl_lag=dl_lag,
+            channel_model=channel_model,
+            trials=1,
+        )
+        s = simkit._setup(cfg, P)
+        nmse, rx_power, truths, estimates = simkit._sound(s, np.random.default_rng(seed))
+
+        # the same draws again, in the (P, M) layout
+        rng = np.random.default_rng(seed)
+        draws = [s.user.draw(rng, M) for _ in shifts]
+        y = sum(np.sqrt(s.rho) * x[:, None] * d.window.T for x, d in zip(s.pilot_matrix, draws))
+        if contamination:
+            y = y + s.cont.draw(rng, M).window.T
+        y = y + np.sqrt(s.sigma2) * fading.complex_normal(rng, (P, M))
+        A = estimation.observation_matrix(P, s.sigma2, simkit._observation_terms(s, "covariance"))
+        z = cho_solve(cho_factor(A, lower=True), y)
+        R = s.user.covariance()
+        for k, (x, d) in enumerate(zip(s.pilot_matrix, draws)):
+            h_hat = np.sqrt(s.rho) * R @ (np.conj(x)[:, None] * z)
+            error = np.mean(np.abs(d.window.T - h_hat) ** 2)
+            assert abs(nmse[k] - error) <= 1e-9 * error
+            want = d.window[:, -1] if perfect_csi else h_hat[-1]
+            assert np.linalg.norm(estimates[k] - want) <= 1e-9 * np.linalg.norm(want)
+            assert np.array_equal(truths[k], d.downlink)
+        assert rx_power == pytest.approx(np.mean(np.abs(y) ** 2), rel=1e-12)
 
 
 class TestUserReports:
