@@ -333,9 +333,13 @@ class ChannelCovariance:
         return clamped
 
     def toeplitz(self):
-        """Materialize the exact P x P Toeplitz covariance E[h h^H]."""
+        """Materialize the exact P x P Toeplitz covariance E[h h^H].
+
+        Real (float64) when the autocorrelation is real, as for the bathtub
+        spectrum, and complex otherwise; the entries are the same either way.
+        """
         # first column r(l), first row conj(r(l)) = r(-l)
-        return toeplitz(np.asarray(self.acf.values, dtype=complex))
+        return toeplitz(np.asarray(self.acf.values))
 
 
 def build_covariance(spectrum, P):

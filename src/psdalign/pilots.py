@@ -9,6 +9,7 @@ planning is interval packing on the circle.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,13 +223,24 @@ def _support_runs(lam, floor_rel):
     Runs are found on the centered (fftshift) axis so a support straddling
     frequency zero forms one interval; intervals are (lo, hi) in bin units on
     the circle of circumference P.
+
+    The runs depend on the above-floor mask alone, so they are memoized on its
+    packed bits: a vector mutated in place gets a new key, and equal masks
+    share an entry.
     """
     lam = np.asarray(lam, dtype=float)
-    P = lam.size
     peak = lam.max(initial=0.0)
     if peak <= 0.0:
         return []
     mask = lam > floor_rel * peak
+    return list(_mask_runs(lam.size, np.packbits(mask).tobytes()))
+
+
+# bounded: a planning op looks up a few dozen distinct masks, each dozens of times
+@lru_cache(maxsize=256)
+def _mask_runs(P, packed):
+    """The runs of the length-P mask whose `np.packbits` bytes are `packed`."""
+    mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=P).astype(bool)
     # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
     # padded with a clear bin at each end so every run has a start and an end
     half = P // 2
@@ -242,7 +254,7 @@ def _support_runs(lam, floor_rel):
         last = runs.pop()
         runs.append((last[0], first[1] + P))
     # back to absolute bin coordinates
-    return [(lo - half, hi - half) for lo, hi in runs]
+    return tuple((lo - half, hi - half) for lo, hi in runs)
 
 
 def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
@@ -328,11 +340,12 @@ class AlignmentPlan:
     def support_masks(self):
         """(K, P) boolean matrix of grid bins carrying each shifted spectrum."""
         xi = grid_frequencies(self.P)
-        masks = np.zeros((self.K, self.P), dtype=bool)
-        for k, (lo, hi) in enumerate(self.supports()):
-            rel = (xi - lo) % 1.0
-            masks[k] = rel <= (hi - lo) + 1e-15
-        return masks
+        sup = np.array(self.supports(), dtype=float).reshape(-1, 2)
+        lo, hi = sup[:, :1], sup[:, 1:]
+        d = xi - lo
+        # d % 1.0 rounds the exact d - floor(d), as this subtraction does, so
+        # the bits agree; floor costs a fraction of numpy's float remainder
+        return d - np.floor(d) <= (hi - lo) + 1e-15
 
     def pairwise_orthogonal(self):
         """True when every user pair occupies disjoint grid bins."""

@@ -31,22 +31,62 @@ def adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
 
     A panel is accepted when one rule and the sum of the rule on its two
     halves agree to the (area-prorated) tolerance.
+
+    The bisection runs level by level with one call of f per level: the first
+    on the whole interval and its two halves, each later one on the halves of
+    every panel still open. Every n-point sum, every accept/bisect decision
+    and the order in which the accepted panels add up are those of the
+    depth-first recursion, so the result is bit for bit the same.
     """
     if b <= a:
         return 0.0
+    x, w = gl_rule(n)
     total_width = b - a
+    mid = 0.5 * (a + b)
+    whole, *sums = _rule_sums(f, x, w, [(a, b), (a, mid), (mid, b)])
+    # entry i is panel i's integral once accepted, else the indices of its two
+    # halves, which always come after it
+    tree = [None]
+    level = [(a, mid, b, whole, 0)]
+    depth = 0
+    while level:
+        bisected = []
+        for (lo, mid, hi, whole, i), left, right in zip(level, sums[0::2], sums[1::2]):
+            if depth >= max_depth or abs(left + right - whole) <= tol * max(
+                1.0, (hi - lo) / total_width
+            ):
+                tree[i] = left + right
+            else:
+                j = len(tree)
+                tree[i] = (j, j + 1)
+                tree += [None, None]
+                bisected += [
+                    (lo, 0.5 * (lo + mid), mid, left, j),
+                    (mid, 0.5 * (mid + hi), hi, right, j + 1),
+                ]
+        level = bisected
+        depth += 1
+        if level:
+            halves = [iv for lo, mid, hi, _, _ in level for iv in ((lo, mid), (mid, hi))]
+            sums = _rule_sums(f, x, w, halves)
+    # a bisected panel is the sum of its halves, added as the recursion adds them
+    for i in reversed(range(len(tree))):
+        if isinstance(tree[i], tuple):
+            j, k = tree[i]
+            tree[i] = tree[j] + tree[k]
+    return tree[0]
 
-    def recurse(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left = fixed_gl(f, lo, mid, n)
-        right = fixed_gl(f, mid, hi, n)
-        if depth >= max_depth or abs(left + right - whole) <= tol * max(
-            1.0, (hi - lo) / total_width
-        ):
-            return left + right
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 
-    return recurse(a, b, fixed_gl(f, a, b, n), 0)
+def _rule_sums(f, x, w, intervals):
+    """The n-point rule on each (lo, hi) interval, from one call of f on all their nodes.
+
+    Each sum is `fixed_gl`'s, with the same nodes, products and n-term sum.
+    """
+    lo, hi = np.array(intervals, dtype=float).T
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    values = np.broadcast_to(f(nodes.ravel()), nodes.size).reshape(nodes.shape)
+    return [h * np.sum(w * v) for h, v in zip(half, values)]
 
 
 def oscillatory_nodes(a, b, omega_max):

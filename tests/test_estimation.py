@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from hypothesis import given, settings, strategies as st
 
 from psdalign.estimation import (
@@ -20,7 +22,7 @@ from psdalign.estimation import (
     taylor_check,
 )
 from psdalign import estimation
-from psdalign.fading import DopplerSpectrum, build_covariance, complex_normal
+from psdalign.fading import ChannelCovariance, DopplerSpectrum, build_covariance, complex_normal
 from psdalign.pilots import fft_pilot, hadamard_pilots
 from psdalign.quadrature import adaptive_gl
 from psdalign.simkit import ExactModel
@@ -31,6 +33,31 @@ def clarke_scene(F, P, noise_var, shifts=(0,), power=1.0):
     users = tuple(UplinkUser(power, fft_pilot(s % P, P), cov) for s in shifts)
     return UplinkScene(users=users, noise_var=noise_var)
 
+
+def complex_toeplitz(cov):
+    """The covariance built complex whatever its autocorrelation (the former `toeplitz`)."""
+    return toeplitz(np.asarray(cov.acf.values, dtype=complex))
+
+
+class TestRealToeplitzCovariance:
+    """Estimates from the real Clarke covariance match those of its complex build."""
+
+    @pytest.mark.parametrize("scheme", ["ramp", "hadamard"])
+    def test_matches_complex_build(self, scheme):
+        P = 16
+        clarke = build_covariance(DopplerSpectrum.clarke(0.05), P)
+        flat = build_covariance(DopplerSpectrum.flat_band(0.1, 0.3), P)
+        pilots = [fft_pilot(0, P), fft_pilot(5.5, P)] if scheme == "ramp" else hadamard_pilots(P)[:2]
+        users = (UplinkUser(1.0, pilots[0], clarke), UplinkUser(0.7, pilots[1], clarke))
+        scene = UplinkScene(users=users, noise_var=0.3, interferers=(Interferer(0.5, flat),))
+        y = complex_normal(np.random.default_rng(3), (P, 3))
+        got = [(error_covariance(scene, k), mmse_estimate(y, scene, k)) for k in range(2)]
+        with mock.patch.object(ChannelCovariance, "toeplitz", complex_toeplitz):
+            expected = [(error_covariance(scene, k), mmse_estimate(y, scene, k)) for k in range(2)]
+        for ((E, mse), est), ((E_ref, mse_ref), est_ref) in zip(got, expected):
+            np.testing.assert_allclose(E, E_ref, rtol=0, atol=1e-12)
+            assert abs(mse - mse_ref) <= 1e-12
+            np.testing.assert_allclose(est, est_ref, rtol=0, atol=1e-12 * np.abs(est_ref).max())
 
 class TestMmseEstimate:
     def test_noise_free_full_rank_recovers_exactly(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import circulant
+from scipy.linalg import circulant, toeplitz
 
 from psdalign.fading import (
     DopplerSpectrum,
@@ -136,6 +136,17 @@ class TestBuildCovariance:
         assert cov.circulant_column[0].real == 1.0
         R = cov.toeplitz()
         assert abs(np.trace(R).real / 1024 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spectrum, dtype",
+        [(DopplerSpectrum.clarke(0.01), np.float64), (DopplerSpectrum.flat_band(0.05, 0.2), np.complex128)],
+        ids=["clarke", "asymmetric flat band"],
+    )
+    def test_toeplitz_is_real_for_a_real_autocorrelation(self, spectrum, dtype):
+        cov = build_covariance(spectrum, 64)
+        R = cov.toeplitz()
+        assert R.dtype == dtype
+        assert np.array_equal(R, toeplitz(np.asarray(cov.acf.values, dtype=complex)))
 
     def test_constant_channel_limit(self):
         # delta spectrum at DC: r(v) = 1 for all v

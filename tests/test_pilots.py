@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from psdalign import pilots
-from psdalign.fading import DopplerSpectrum, clarke_autocorrelation
+from psdalign.fading import DopplerSpectrum, clarke_autocorrelation, grid_frequencies
 from psdalign.pilots import (
     AlignmentPlan,
     PlanInfeasibleError,
@@ -446,6 +446,116 @@ class TestSupportRuns:
             assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6), name
         assert pilots._support_runs(masks["wrap-around"], 1e-6) == [(0, 0), (P - 1 - half, P - half)]
 
+
+@st.composite
+def run_masks(draw, max_P=4096):
+    """Eigenvalue vectors of length 1..max_P: a few random runs, or a dense random mask."""
+    P = draw(st.integers(1, max_P))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lam = np.zeros(P)
+        for _ in range(draw(st.integers(0, 5))):
+            start, length = int(rng.integers(P)), int(rng.integers(1, P + 1))
+            lam[(start + np.arange(length)) % P] = rng.uniform(0.5, 2.0)
+    else:
+        lam = rng.uniform(0.5, 2.0, P) * (rng.random(P) < draw(st.floats(0.0, 1.0)))
+    # a sprinkle of entries just under and over the floor
+    lam[rng.integers(P, size=3)] *= draw(st.sampled_from([1.0, 1e-7, 1e-5]))
+    return lam
+
+
+class TestSupportRunsMemo:
+    """The runs are memoized on the above-floor mask; every answer must stay exact."""
+
+    @given(run_masks())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bin_scan_up_to_4096(self, lam):
+        assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+        # a second lookup hits the memo and returns the same runs
+        assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+
+    def test_in_place_mutation_between_calls(self):
+        P = 512
+        lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(P)
+        other = lam.copy()
+        # supports cover bins -5..5, so a shift of 20 keeps them apart
+        assert shift_orthogonal(lam, other, 20) is True
+        lam[15] = 1.0
+        assert shift_orthogonal(lam, other, 20) is False
+        assert shift_orthogonal(lam, other, 20) == shift_orthogonal(lam.copy(), other, 20)
+        lam[15] = 0.0
+        assert shift_orthogonal(lam, other, 20) is True
+        # a new peak lifts the floor above every other bin
+        lam[0] = 1e20
+        assert pilots._support_runs(lam, 1e-10) == scan_support_runs(lam, 1e-10) == [(0, 0)]
+        assert shift_orthogonal(lam, other, 20) is True
+        assert shift_orthogonal(lam, other, 5) is False
+        lam[:] = 0.0
+        assert pilots._support_runs(lam, 1e-10) == []
+        assert shift_orthogonal(lam, other, 0) is True
+
+    def test_equal_masks_share_an_entry(self):
+        P = 4093  # a length no other test uses, so the mask is new to the memo
+        rng = np.random.default_rng(11)
+        lam_a = rng.uniform(0.5, 2.0, P) * (rng.random(P) < 0.3)
+        lam_b = 3.0 * lam_a  # a different array with the same mask
+        before = pilots._mask_runs.cache_info()
+        runs_a = pilots._support_runs(lam_a, 1e-6)
+        runs_b = pilots._support_runs(lam_b, 1e-6)
+        after = pilots._mask_runs.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert runs_a == runs_b == scan_support_runs(lam_a, 1e-6)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [np.zeros(64), -np.ones(64), np.array([-1.0, 0.0, -2.0]), np.zeros(0)],
+        ids=["all zero", "all negative", "non-positive peak", "empty"],
+    )
+    def test_no_positive_peak_has_no_runs(self, lam):
+        assert pilots._support_runs(lam, 1e-10) == scan_support_runs(lam, 1e-10) == []
+        if lam.size:
+            assert shift_orthogonal(lam, lam.copy(), 0) is True
+
+    def test_memo_stays_bounded(self):
+        maxsize = pilots._mask_runs.cache_info().maxsize
+        P = 24
+        for bits in range(1, 3 * maxsize):
+            lam = ((bits >> np.arange(P)) & 1).astype(float)
+            assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+        assert pilots._mask_runs.cache_info().currsize == maxsize
+
+
+def loop_support_masks(plan):
+    """The per-user loop `support_masks` replaced (oracle)."""
+    xi = grid_frequencies(plan.P)
+    masks = np.zeros((plan.K, plan.P), dtype=bool)
+    for k, (lo, hi) in enumerate(plan.supports()):
+        rel = (xi - lo) % 1.0
+        masks[k] = rel <= (hi - lo) + 1e-15
+    return masks
+
+
+class TestSupportMasks:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_loop(self, data):
+        P = data.draw(st.integers(2, 4096))
+        K = data.draw(st.integers(0, 12))
+        # grid-aligned Dopplers and shifts put support ends exactly on bins
+        doppler = st.one_of(st.floats(1e-4, 0.5), st.integers(1, P // 2).map(lambda m: m / P))
+        shift = st.one_of(st.floats(0.0, P, exclude_max=True), st.integers(0, P - 1).map(float))
+        dopplers = data.draw(st.lists(doppler, min_size=K, max_size=K))
+        shifts = data.draw(st.lists(shift, min_size=K, max_size=K))
+        plan = AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P)
+        got = plan.support_masks()
+        assert got.dtype == bool and got.shape == (K, P)
+        assert np.array_equal(got, loop_support_masks(plan))
+
+    def test_planned_mixed_doppler_set(self):
+        dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
+        plan = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
+        assert np.array_equal(plan.support_masks(), loop_support_masks(plan))
+        assert plan.pairwise_orthogonal()
 
 class TestCircularGeometry:
     @given(

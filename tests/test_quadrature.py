@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from psdalign import estimation
+from psdalign.fading import DopplerSpectrum
+from psdalign.pilots import plan_alignment
 from psdalign.quadrature import adaptive_gl, fixed_gl, oscillatory_nodes
 
 
@@ -29,3 +35,101 @@ def test_adaptive_matches_numpy_polynomial_integral(coeffs):
     q = p.integ()
     val = adaptive_gl(p, -1.0, 1.5, tol=1e-11)
     assert abs(val - (q(1.5) - q(-1.0))) < 1e-8
+
+
+def recursive_adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
+    """The depth-first recursion `adaptive_gl` replaced, three calls of f per panel (oracle)."""
+    if b <= a:
+        return 0.0
+    total_width = b - a
+
+    def recurse(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left = fixed_gl(f, lo, mid, n)
+        right = fixed_gl(f, mid, hi, n)
+        if depth >= max_depth or abs(left + right - whole) <= tol * max(
+            1.0, (hi - lo) / total_width
+        ):
+            return left + right
+        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
+
+    return recurse(a, b, fixed_gl(f, a, b, n), 0)
+
+
+class Counted:
+    """An integrand that records the node sets it is called on."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return self.f(x)
+
+
+SMOOTH = {
+    "peaked": (lambda x: np.exp(-((x - 0.3) ** 2) * 1e4), -1.0, 1.0),
+    "runge": (lambda x: 1.0 / (1.0 + 400.0 * x * x), -1.0, 1.5),
+    "oscillating": (lambda x: np.sin(60.0 * x) * np.exp(x), 0.0, 3.0),
+    "steep sqrt": (lambda x: np.sqrt(1.0 + x), -0.999, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+@pytest.mark.parametrize("tol, n", [(1e-10, 20), (1e-14, 8), (1e-15, 24)])
+def test_bit_identical_to_the_recursion(name, tol, n):
+    f, a, b = SMOOTH[name]
+    counted = Counted(f)
+    got = adaptive_gl(counted, a, b, tol=tol, n=n)
+    assert got == recursive_adaptive_gl(f, a, b, tol=tol, n=n)
+    # each level of the bisection is one call
+    assert 1 <= len(counted.calls) <= 41
+
+
+def test_depth_limit_is_the_recursions():
+    f = SMOOTH["peaked"][0]
+    for max_depth in (0, 1, 3):
+        counted = Counted(f)
+        got = adaptive_gl(counted, -1.0, 1.0, tol=1e-16, n=4, max_depth=max_depth)
+        assert got == recursive_adaptive_gl(f, -1.0, 1.0, tol=1e-16, n=4, max_depth=max_depth)
+        assert len(counted.calls) == max_depth + 1
+
+
+def test_accepted_panel_calls_the_integrand_once():
+    counted = Counted(lambda x: x**3 - 2.0 * x)
+    val = adaptive_gl(counted, -1.0, 2.0, n=8)
+    assert abs(val - (2.0**4 / 4 - 4.0 - 0.25 + 1.0)) < 1e-12
+    # the panel and its two halves, in one call
+    assert [c.size for c in counted.calls] == [3 * 8]
+
+
+def test_constant_integrand_returning_a_scalar():
+    assert adaptive_gl(lambda x: 2.0, 0.0, 3.0) == recursive_adaptive_gl(lambda x: 2.0, 0.0, 3.0)
+
+
+def bench_like_scene(seed):
+    """One user of a planned 40-user mixed-Doppler set against the other 39 and the contamination.
+
+    Even seeds take the plan's shifts (supports apart, one panel per user); odd
+    seeds squeeze the shifts together so interferer edges split the panel.
+    """
+    rng = np.random.default_rng(seed)
+    P, band = 4096, (-0.375, 0.375)
+    dopplers = rng.uniform(0.001, 0.004, 40).tolist()
+    plan = plan_alignment(dopplers, [band], P)
+    spectra = [DopplerSpectrum.clarke(F) for F in dopplers]
+    shifts = [tau / P for tau in plan.shifts] if seed % 2 == 0 else [0.003 * g for g in range(40)]
+    k = int(rng.integers(40))
+    interferers = [(spectra[g], shifts[g] - shifts[k], 1.0) for g in range(40) if g != k]
+    interferers.append((DopplerSpectrum.flat_band(*band, power=0.5), -shifts[k], 1.0))
+    return spectra[k], interferers
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_asymptotic_mse_bit_identical_to_the_recursion(seed):
+    spectrum, interferers = bench_like_scene(seed)
+    got = estimation.asymptotic_mse(spectrum, 1.0, 0.1, interferers)
+    with mock.patch.object(estimation, "adaptive_gl", recursive_adaptive_gl):
+        expected = estimation.asymptotic_mse(spectrum, 1.0, 0.1, interferers)
+    assert got == expected
