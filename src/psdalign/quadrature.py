@@ -21,9 +21,7 @@ def gl_rule(n):
 def fixed_gl(f, a, b, n=20):
     """Integrate f over [a, b] with a single n-point Gauss-Legendre rule."""
     x, w = gl_rule(n)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * np.sum(w * f(mid + half * x))
+    return _rule_sums(f, x, w, [(a, b)])[0]
 
 
 def adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
@@ -32,56 +30,36 @@ def adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
     A panel is accepted when one rule and the sum of the rule on its two
     halves agree to the (area-prorated) tolerance.
 
-    The bisection runs level by level with one call of f per level: the first
-    on the whole interval and its two halves, each later one on the halves of
-    every panel still open. Every n-point sum, every accept/bisect decision
-    and the order in which the accepted panels add up are those of the
-    depth-first recursion, so the result is bit for bit the same.
+    f must be elementwise over an arbitrary 1-D node array: one call covers
+    several panels, the whole interval and its two halves first, then the two
+    halves of each bisected panel. A panel accepted at once costs one call.
     """
     if b <= a:
         return 0.0
     x, w = gl_rule(n)
     total_width = b - a
+
+    def halves(lo, hi):
+        """The rule on the two halves of [lo, hi], from one call of f."""
+        mid = 0.5 * (lo + hi)
+        return _rule_sums(f, x, w, [(lo, mid), (mid, hi)])
+
+    def recurse(lo, hi, whole, left, right, depth):
+        if depth >= max_depth or abs(left + right - whole) <= tol * max(
+            1.0, (hi - lo) / total_width
+        ):
+            return left + right
+        mid = 0.5 * (lo + hi)
+        return recurse(lo, mid, left, *halves(lo, mid), depth + 1) + recurse(
+            mid, hi, right, *halves(mid, hi), depth + 1
+        )
+
     mid = 0.5 * (a + b)
-    whole, *sums = _rule_sums(f, x, w, [(a, b), (a, mid), (mid, b)])
-    # entry i is panel i's integral once accepted, else the indices of its two
-    # halves, which always come after it
-    tree = [None]
-    level = [(a, mid, b, whole, 0)]
-    depth = 0
-    while level:
-        bisected = []
-        for (lo, mid, hi, whole, i), left, right in zip(level, sums[0::2], sums[1::2]):
-            if depth >= max_depth or abs(left + right - whole) <= tol * max(
-                1.0, (hi - lo) / total_width
-            ):
-                tree[i] = left + right
-            else:
-                j = len(tree)
-                tree[i] = (j, j + 1)
-                tree += [None, None]
-                bisected += [
-                    (lo, 0.5 * (lo + mid), mid, left, j),
-                    (mid, 0.5 * (mid + hi), hi, right, j + 1),
-                ]
-        level = bisected
-        depth += 1
-        if level:
-            halves = [iv for lo, mid, hi, _, _ in level for iv in ((lo, mid), (mid, hi))]
-            sums = _rule_sums(f, x, w, halves)
-    # a bisected panel is the sum of its halves, added as the recursion adds them
-    for i in reversed(range(len(tree))):
-        if isinstance(tree[i], tuple):
-            j, k = tree[i]
-            tree[i] = tree[j] + tree[k]
-    return tree[0]
+    return recurse(a, b, *_rule_sums(f, x, w, [(a, b), (a, mid), (mid, b)]), 0)
 
 
 def _rule_sums(f, x, w, intervals):
-    """The n-point rule on each (lo, hi) interval, from one call of f on all their nodes.
-
-    Each sum is `fixed_gl`'s, with the same nodes, products and n-term sum.
-    """
+    """The n-point rule (nodes x, weights w) on each (lo, hi) interval, from one call of f."""
     lo, hi = np.array(intervals, dtype=float).T
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x

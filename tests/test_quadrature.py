@@ -37,23 +37,31 @@ def test_adaptive_matches_numpy_polynomial_integral(coeffs):
     assert abs(val - (q(1.5) - q(-1.0))) < 1e-8
 
 
+def single_rule(f, a, b, n=20):
+    """One n-point Gauss-Legendre rule as `fixed_gl` computed it on its own (oracle)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half * np.sum(w * f(mid + half * x))
+
+
 def recursive_adaptive_gl(f, a, b, tol=1e-10, n=20, max_depth=40):
-    """The depth-first recursion `adaptive_gl` replaced, three calls of f per panel (oracle)."""
+    """The recursion with one rule per call of f, three calls for the first panel (oracle)."""
     if b <= a:
         return 0.0
     total_width = b - a
 
     def recurse(lo, hi, whole, depth):
         mid = 0.5 * (lo + hi)
-        left = fixed_gl(f, lo, mid, n)
-        right = fixed_gl(f, mid, hi, n)
+        left = single_rule(f, lo, mid, n)
+        right = single_rule(f, mid, hi, n)
         if depth >= max_depth or abs(left + right - whole) <= tol * max(
             1.0, (hi - lo) / total_width
         ):
             return left + right
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 
-    return recurse(a, b, fixed_gl(f, a, b, n), 0)
+    return recurse(a, b, single_rule(f, a, b, n), 0)
 
 
 class Counted:
@@ -80,20 +88,29 @@ SMOOTH = {
 @pytest.mark.parametrize("tol, n", [(1e-10, 20), (1e-14, 8), (1e-15, 24)])
 def test_bit_identical_to_the_recursion(name, tol, n):
     f, a, b = SMOOTH[name]
-    counted = Counted(f)
+    counted, oracle = Counted(f), Counted(f)
     got = adaptive_gl(counted, a, b, tol=tol, n=n)
-    assert got == recursive_adaptive_gl(f, a, b, tol=tol, n=n)
-    # each level of the bisection is one call
-    assert 1 <= len(counted.calls) <= 41
+    assert got == recursive_adaptive_gl(oracle, a, b, tol=tol, n=n)
+    # the first panel in one call instead of three, each later one in one call instead of two
+    assert len(counted.calls) == 1 + (len(oracle.calls) - 3) // 2
+    assert np.concatenate(counted.calls).size == np.concatenate(oracle.calls).size
 
 
 def test_depth_limit_is_the_recursions():
     f = SMOOTH["peaked"][0]
     for max_depth in (0, 1, 3):
-        counted = Counted(f)
+        counted, oracle = Counted(f), Counted(f)
         got = adaptive_gl(counted, -1.0, 1.0, tol=1e-16, n=4, max_depth=max_depth)
-        assert got == recursive_adaptive_gl(f, -1.0, 1.0, tol=1e-16, n=4, max_depth=max_depth)
-        assert len(counted.calls) == max_depth + 1
+        assert got == recursive_adaptive_gl(oracle, -1.0, 1.0, tol=1e-16, n=4, max_depth=max_depth)
+        assert len(counted.calls) == 1 + (len(oracle.calls) - 3) // 2
+    assert len(counted.calls) > 1
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+@pytest.mark.parametrize("n", [4, 20, 24])
+def test_fixed_rule_is_the_single_rule(name, n):
+    f, a, b = SMOOTH[name]
+    assert fixed_gl(f, a, b, n) == single_rule(f, a, b, n)
 
 
 def test_accepted_panel_calls_the_integrand_once():
