@@ -18,20 +18,15 @@ from .estimation import (
     taylor_check,
 )
 from .fading import (
-    AutocorrelationSequence,
     ChannelCovariance,
     DopplerSpectrum,
     build_covariance,
-    clarke_autocorrelation,
-    clarke_psd,
-    flat_psd,
     j0,
 )
 from .pilots import (
     AlignmentPlan,
     PilotSequence,
     PlanInfeasibleError,
-    cross_matrix,
     fft_pilot,
     hadamard_pilots,
     orthogonality_residual,

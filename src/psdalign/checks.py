@@ -11,10 +11,9 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import estimation
-from .fading import DopplerSpectrum, clarke_autocorrelation, complex_normal
+from .fading import DopplerSpectrum, build_covariance, complex_normal
 from .pilots import fft_pilot, orthogonality_residual, plan_alignment, shift_orthogonal
 from .simkit import ExactModel
 
@@ -92,7 +91,7 @@ def criterion_06_orthogonality_decay():
     F = 0.002
     residuals = []
     for P in (512, 1024, 2048, 4096):
-        R = toeplitz(clarke_autocorrelation(F, np.arange(P)))
+        R = build_covariance(DopplerSpectrum.clarke(F), P).toeplitz()
         d = np.exp(2j * np.pi * (P // 2) * np.arange(P) / P)
         residuals.append(orthogonality_residual(R, R, d))
     # R, P and the eigenvalues below are those of the last rung, P=4096
@@ -149,7 +148,7 @@ def criterion_10b_synthesis_autocorrelation():
         per_seed[sidx, 0] = np.mean(np.abs(h) ** 2)
         per_seed[sidx, 1:] = [np.mean((h[:, : P - v] * np.conj(h[:, v:])).real) for v in lags[1:]]
     se = per_seed.std(axis=0, ddof=1) / math.sqrt(seeds)
-    z = np.abs(per_seed.mean(axis=0) - clarke_autocorrelation(F, lags)) / se
+    z = np.abs(per_seed.mean(axis=0) - DopplerSpectrum.clarke(F).autocorrelation(lags)) / se
     yield Check("synthesis_autocorrelation_3se", float(z.max()), "<", 3.0)
 
 

@@ -5,6 +5,8 @@ the pilot scheme, the contamination model, and the run controls. Every field
 has a default matching the shipped scenario, so `{}` is a valid config.
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import yaml
@@ -16,6 +18,26 @@ class ConfigError(ValueError):
 
 # fields given as lists in YAML and JSON, held as tuples so configs hash and compare
 _TUPLE_FIELDS = ("shifts", "sweep_lengths", "contamination_band")
+# integer fields and their least values
+_INT_MINIMA = {
+    "sampling_divisor": 1,
+    "users": 1,
+    "observation_length": 2,
+    "antennas": 1,
+    "trials": 1,
+    "dl_lag": 0,
+    "seed": 0,
+    "jobs": 1,
+}
+
+
+def _is_int(value):
+    # YAML reads `true` as a bool, which Python counts as an int
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -50,18 +72,23 @@ class ExperimentConfig:
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.sampling_divisor, int) or self.sampling_divisor < 1:
-            raise ValueError(f"sampling_divisor must be an integer >= 1, got {self.sampling_divisor!r}")
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not all(_is_int(P) and P >= 2 for P in self.sweep_lengths):
+            raise ValueError(f"sweep_lengths must be integers >= 2, got {self.sweep_lengths!r}")
         for name in ("symbol_duration_s", "doppler_hz", "tolerance_scale"):
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.dl_lag < 0:
-            raise ValueError(f"dl_lag must be >= 0 slots, got {self.dl_lag}")
-        for name in ("users", "trials", "antennas"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"need at least one {name[:-1]}")
-        if self.observation_length < 2:
-            raise ValueError("observation length must be >= 2")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("user_power_db", "pilot_snr_db", "contamination_inr_db", "dl_snr_db"):
+            value = getattr(self, name)
+            nullable = name in ("contamination_inr_db", "dl_snr_db")
+            if not (_is_finite(value) or (nullable and value is None)):
+                raise ValueError(f"{name} must be a finite number{' or null' if nullable else ''}, got {value!r}")
+        if not isinstance(self.perfect_csi, bool):
+            raise ValueError(f"perfect_csi must be true or false, got {self.perfect_csi!r}")
         if self.scheme not in ("psd_align", "hadamard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "hadamard" and self.users & (self.users - 1):
@@ -75,6 +102,8 @@ class ExperimentConfig:
                 raise ValueError("shifts must be 'preset', 'auto', or a sequence of cycles")
         elif len(self.shifts) != self.users:
             raise ValueError("per-user shift list length must equal the user count")
+        elif not all(_is_finite(c) for c in self.shifts):
+            raise ValueError(f"per-user shifts must be finite numbers of cycles, got {self.shifts!r}")
         if self.contamination_band is not None:
             lo, hi = self.contamination_band
             if not (-0.5 <= lo < hi <= 0.5):

@@ -193,10 +193,10 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
     only smooth integrands.
 
     All interferers are evaluated at a node set in one (interferer, node)
-    broadcast (`fading.stacked_psd`: the bathtub ones together, flat and
-    sampled ones through their own `psd`), and their terms are summed in the
-    given order with the floating-point operations of adding them one at a
-    time, so the integrand is bit for bit that of a per-interferer loop.
+    broadcast (`fading.stacked_psd`: the bathtub ones together, flat ones
+    through their own `psd`), and their terms are summed in the given order
+    with the floating-point operations of adding them one at a time, so the
+    integrand is bit for bit that of a per-interferer loop.
     """
     interferers = list(interferers)
     interference = _interference(interferers)

@@ -3,8 +3,7 @@
 The spectral model lives on the normalized frequency interval (-1/2, 1/2].
 A bathtub spectrum with normalized maximum Doppler F describes isotropic
 scattering; its autocorrelation is J0(2*pi*F*v). Flat bands model band-limited
-interference, and sampled spectra carry arbitrary nonnegative eigenvalue
-profiles on the P-point grid.
+interference.
 
 Channels are drawn only by the models of `psdalign.simkit`: the exact one from
 `DopplerSpectrum.synthesis_nodes`, the circulant one from the clamped
@@ -28,39 +27,8 @@ from .quadrature import oscillatory_nodes
 
 log = logging.getLogger(__name__)
 
-# support detection threshold, relative to the largest eigenvalue
-EIGENVALUE_FLOOR_REL = 1e-10
 # warn when clamping negative eigenvalues moves more than this fraction of P
 CLAMP_WARN_FRACTION = 1e-3
-
-
-def clarke_autocorrelation(max_doppler, lag):
-    """Autocorrelation J0(2*pi*F*v) of the isotropic-scattering channel.
-
-    Parameters
-    ----------
-    max_doppler : float
-        Normalized maximum Doppler frequency F = f_D / f_s, in (0, 1/2].
-    lag : int, float or array
-        Lag v in slots (even function of v).
-    """
-    _check_max_doppler(max_doppler)
-    return j0(2.0 * np.pi * max_doppler * np.asarray(lag, dtype=float))
-
-
-def clarke_psd(max_doppler, xi):
-    """Bathtub spectral density at normalized frequency xi in (-1/2, 1/2].
-
-    Returns (1/pi)/sqrt(F^2 - xi^2) inside the band, 0 outside, and inf at
-    the band edges where the density is singular.
-    """
-    _check_max_doppler(max_doppler)
-    x = np.asarray(xi, dtype=float)
-    _check_frequency_domain(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = _bathtub(max_doppler, max_doppler**2, x)
-    return float(out[0]) if scalar else out
 
 
 def _bathtub(F, F2, x):
@@ -70,20 +38,6 @@ def _bathtub(F, F2, x):
     out[inside] = 1.0 / (np.pi * np.sqrt(np.broadcast_to(F2, x.shape)[inside] - x[inside] ** 2))
     out[np.abs(x) == F] = np.inf
     return out
-
-
-def flat_psd(band, power, xi):
-    """Uniform spectral density of total `power` on the closed `band`."""
-    lo, hi = band
-    _check_band(lo, hi)
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    x = np.asarray(xi, dtype=float)
-    _check_frequency_domain(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.where((x >= lo) & (x <= hi), power / (hi - lo), 0.0)
-    return float(out[0]) if scalar else out
 
 
 def stacked_psd(spectra):
@@ -113,18 +67,6 @@ def stacked_psd(spectra):
     return density
 
 
-def _check_max_doppler(F):
-    if not 0.0 < F <= 0.5:
-        raise ValueError(f"normalized max Doppler must be in (0, 1/2], got {F}")
-
-
-def _check_band(lo, hi):
-    # lo = -1/2 is admitted for the full band: that endpoint is the same circle
-    # point as +1/2 and carries no mass
-    if not (-0.5 <= lo < hi <= 0.5):
-        raise ValueError(f"band must satisfy -1/2 <= lo < hi <= 1/2, got [{lo}, {hi}]")
-
-
 def _check_frequency_domain(x):
     if np.any(x <= -0.5) or np.any(x > 0.5):
         raise ValueError("normalized frequency must lie in (-1/2, 1/2]")
@@ -140,30 +82,27 @@ def grid_frequencies(P):
 class DopplerSpectrum:
     """Normalized power spectral density of a stationary channel process.
 
-    One of three kinds: "clarke" (bathtub of half-width `max_doppler`),
-    "flat" (uniform on `band`), or "sampled" (arbitrary nonnegative values on
-    a uniform grid in DFT order). `power` is the total process power.
+    One of two kinds: "clarke" (bathtub of half-width `max_doppler`) or
+    "flat" (uniform on `band`). `power` is the total process power.
     """
 
     kind: str
     max_doppler: float | None = None
     band: tuple[float, float] | None = None
-    samples: tuple[float, ...] | None = None
     power: float = 1.0
 
     def __post_init__(self):
         if self.power < 0:
             raise ValueError("power must be nonnegative")
         if self.kind == "clarke":
-            _check_max_doppler(self.max_doppler)
+            if not 0.0 < self.max_doppler <= 0.5:
+                raise ValueError(f"normalized max Doppler must be in (0, 1/2], got {self.max_doppler}")
         elif self.kind == "flat":
-            _check_band(*self.band)
-        elif self.kind == "sampled":
-            vals = np.asarray(self.samples, dtype=float)
-            if vals.ndim != 1 or vals.size < 2:
-                raise ValueError("sampled spectrum needs a 1-D grid of length >= 2")
-            if np.any(vals < 0):
-                raise ValueError("sampled spectrum values must be nonnegative")
+            lo, hi = self.band
+            # lo = -1/2 is admitted for the full band: that endpoint is the same
+            # circle point as +1/2 and carries no mass
+            if not (-0.5 <= lo < hi <= 0.5):
+                raise ValueError(f"band must satisfy -1/2 <= lo < hi <= 1/2, got [{lo}, {hi}]")
         else:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
@@ -175,37 +114,35 @@ class DopplerSpectrum:
     def flat_band(cls, lo, hi, power=1.0):
         return cls(kind="flat", band=(float(lo), float(hi)), power=float(power))
 
-    @classmethod
-    def sampled(cls, values):
-        values = np.asarray(values, dtype=float)
-        # mean of the grid values is the total power (Riemann sum of the PSD)
-        return cls(kind="sampled", samples=tuple(values), power=float(values.mean()))
-
     def psd(self, xi):
-        """Spectral density at normalized frequency xi."""
-        if self.kind == "clarke":
-            return self.power * clarke_psd(self.max_doppler, xi)
-        if self.kind == "flat":
-            return flat_psd(self.band, self.power, xi)
-        vals = np.asarray(self.samples)
-        N = vals.size
-        x = np.atleast_1d(np.asarray(xi, dtype=float))
+        """Spectral density at normalized frequency xi in (-1/2, 1/2].
+
+        A float for a scalar xi, an array otherwise. The bathtub density is
+        (power/pi)/sqrt(F^2 - xi^2) inside the band, 0 outside, and inf at the
+        band edges where it is singular; the flat one is power/width on the
+        closed band.
+        """
+        x = np.asarray(xi, dtype=float)
         _check_frequency_domain(x)
-        idx = np.rint(np.mod(x, 1.0) * N).astype(int) % N
-        out = vals[idx]
-        return float(out[0]) if np.ndim(xi) == 0 else out
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        if self.kind == "clarke":
+            out = _bathtub(self.max_doppler, self.max_doppler**2, x)
+        else:
+            lo, hi = self.band
+            out = np.where((x >= lo) & (x <= hi), self.power / (hi - lo), 0.0)
+        out = float(out[0]) if scalar else out
+        # the bathtub's power scales a Python float for a scalar xi, as 0 * inf
+        # at a powerless edge must give nan without numpy's warning
+        return self.power * out if self.kind == "clarke" else out
 
     def autocorrelation(self, lag):
         """Autocorrelation at (possibly fractional) lags; r(0) = power."""
         v = np.asarray(lag, dtype=float)
         if self.kind == "clarke":
             return self.power * j0(2.0 * np.pi * self.max_doppler * v)
-        if self.kind == "flat":
-            lo, hi = self.band
-            return self.power * np.exp(1j * np.pi * (lo + hi) * v) * np.sinc((hi - lo) * v)
-        vals = np.asarray(self.samples)
-        xi = grid_frequencies(vals.size)
-        return (vals[None, :] @ np.exp(2j * np.pi * np.outer(v, xi).T)).ravel() / vals.size
+        lo, hi = self.band
+        return self.power * np.exp(1j * np.pi * (lo + hi) * v) * np.sinc((hi - lo) * v)
 
     def support(self):
         """Closed frequency interval(s) carrying power, as (lo, hi) pairs."""
@@ -213,13 +150,7 @@ class DopplerSpectrum:
             return []
         if self.kind == "clarke":
             return [(-self.max_doppler, self.max_doppler)]
-        if self.kind == "flat":
-            return [self.band]
-        vals = np.asarray(self.samples)
-        xi = np.sort(grid_frequencies(vals.size)[vals > EIGENVALUE_FLOOR_REL * max(vals.max(), 1e-300)])
-        if xi.size == 0:
-            return []
-        return [(float(xi.min()), float(xi.max()))]
+        return [self.band]
 
     def sample_eigenvalues(self, P):
         """PSD samples on the P-point grid (the large-P eigenvalue picture).
@@ -238,13 +169,8 @@ class DopplerSpectrum:
                 for i in np.nonzero(edge)[0]:
                     lam[i] = P * self.band_mass(xi[i] - 0.5 / P, xi[i] + 0.5 / P)
             return lam
-        if self.kind == "flat":
-            lo, hi = self.band
-            return np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
-        vals = np.asarray(self.samples)
-        if vals.size != P:
-            raise ValueError(f"sampled spectrum has grid size {vals.size}, not {P}")
-        return vals.copy()
+        lo, hi = self.band
+        return np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
 
     def band_mass(self, a, b):
         """Integral of the PSD over [a, b] (closed-form per kind)."""
@@ -255,13 +181,9 @@ class DopplerSpectrum:
             if b <= a:
                 return 0.0
             return self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi
-        if self.kind == "flat":
-            lo, hi = self.band
-            width = max(0.0, min(b, hi) - max(a, lo))
-            return self.power * width / (hi - lo)
-        vals = np.asarray(self.samples)
-        xi = grid_frequencies(vals.size)
-        return float(vals[(xi >= a) & (xi <= b)].sum()) / vals.size
+        lo, hi = self.band
+        width = max(0.0, min(b, hi) - max(a, lo))
+        return self.power * width / (hi - lo)
 
     def synthesis_nodes(self, max_lag):
         """Quadrature of the spectral measure: frequencies and amplitudes.
@@ -275,47 +197,29 @@ class DopplerSpectrum:
             F = self.max_doppler
             theta, w = oscillatory_nodes(-np.pi / 2, np.pi / 2, 2 * np.pi * F * max_lag)
             return F * np.sin(theta), np.sqrt(self.power * w / np.pi)
-        if self.kind == "flat":
-            lo, hi = self.band
-            xi, w = oscillatory_nodes(lo, hi, 2 * np.pi * max_lag)
-            return xi, np.sqrt(self.power * w / (hi - lo))
-        vals = np.asarray(self.samples)
-        return grid_frequencies(vals.size), np.sqrt(vals / vals.size)
-
-
-@dataclass(frozen=True)
-class AutocorrelationSequence:
-    """Autocorrelation values at lags 0..P-1 plus the generating spectrum."""
-
-    values: np.ndarray
-    spectrum: DopplerSpectrum | None = None
+        lo, hi = self.band
+        xi, w = oscillatory_nodes(lo, hi, 2 * np.pi * max_lag)
+        return xi, np.sqrt(self.power * w / (hi - lo))
 
 
 @dataclass
 class ChannelCovariance:
     """Toeplitz covariance of P successive channel samples plus its circulant picture.
 
-    The Toeplitz matrix has entries R[l, l'] = r(l' - l). The circulant
-    approximation wraps the autocorrelation tail into the first column; its
-    eigenvalues (the DFT of that column) are stored clamped to >= 0 so they
-    can drive the circulant model's draws.
+    `values` holds the autocorrelation r(0), ..., r(P-1); the Toeplitz matrix
+    has entries R[l, l'] = r(l - l'). The circulant approximation wraps the
+    autocorrelation tail into the first column; its eigenvalues (the DFT of
+    that column) are stored clamped to >= 0 so they can drive the circulant
+    model's draws.
     """
 
     P: int
-    acf: AutocorrelationSequence
-
-    @property
-    def spectrum(self):
-        return self.acf.spectrum
+    values: np.ndarray
 
     @cached_property
     def circulant_column(self):
-        r = np.asarray(self.acf.values)
-        if self.spectrum is not None and self.spectrum.kind == "sampled":
-            # the sampled grid is already the circulant eigenbasis; its
-            # autocorrelation is P-periodic and wrapping would double-count
-            return r
-        c = r.astype(complex).copy()
+        r = np.asarray(self.values)
+        c = r.astype(complex)
         # column entry l is r(l) plus the wrapped tail r(l - P) = conj(r(P-l))
         c[1:] = r[1:] + np.conj(r[:0:-1])
         return c
@@ -339,22 +243,14 @@ class ChannelCovariance:
         spectrum, and complex otherwise; the entries are the same either way.
         """
         # first column r(l), first row conj(r(l)) = r(-l)
-        return toeplitz(np.asarray(self.acf.values))
+        return toeplitz(np.asarray(self.values))
 
 
 def build_covariance(spectrum, P):
     """Covariance of P successive samples of a process with the given spectrum."""
     if P < 2:
         raise ValueError("observation length P must be >= 2")
-    if spectrum.kind == "sampled":
-        if len(spectrum.samples) != P:
-            raise ValueError("sampled spectrum grid size must equal P")
-        # at integer lags the grid sum of `autocorrelation` is an inverse DFT
-        values = np.fft.ifft(np.asarray(spectrum.samples, dtype=float))
-    else:
-        values = np.asarray(spectrum.autocorrelation(np.arange(P)))
-    acf = AutocorrelationSequence(values=values, spectrum=spectrum)
-    return ChannelCovariance(P=P, acf=acf)
+    return ChannelCovariance(P=P, values=np.asarray(spectrum.autocorrelation(np.arange(P))))
 
 
 def complex_normal(rng, shape):

@@ -1,10 +1,9 @@
 """Pilot sequence construction and spectral alignment planning.
 
-Cyclic-shift pilots modulate a constant-modulus base sequence with a complex
-exponential ramp; in the Fourier picture the shift slides the user's Doppler
-spectrum around the frequency circle. Users whose shifted spectra occupy
-disjoint supports become asymptotically non-interfering, so alignment
-planning is interval packing on the circle.
+Cyclic-shift pilots are complex exponential ramps; in the Fourier picture the
+shift slides the user's Doppler spectrum around the frequency circle. Users
+whose shifted spectra occupy disjoint supports become asymptotically
+non-interfering, so alignment planning is interval packing on the circle.
 """
 
 import math
@@ -13,8 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import EIGENVALUE_FLOOR_REL, grid_frequencies
+from .fading import grid_frequencies
 
+# support detection threshold, relative to the largest eigenvalue
+EIGENVALUE_FLOOR_REL = 1e-10
 _UNIT_MODULUS_TOL = 1e-9
 # consecutive-ratio spread, per slot of length, below which pkg counts as a ramp
 _RAMP_TOL_PER_SLOT = 1e-13
@@ -34,12 +35,11 @@ class PilotSequence:
 
     `shift` is the cyclic shift in slots for exponential-ramp pilots (may be
     fractional: practical staggered shift grids are generally not integers), None
-    for other constructions. `base` is the unshifted base sequence.
+    for other constructions.
     """
 
     values: np.ndarray
     shift: float | None = None
-    base: np.ndarray | None = None
 
     def __post_init__(self):
         dev = np.max(np.abs(np.abs(self.values) - 1.0))
@@ -51,8 +51,8 @@ class PilotSequence:
         return len(self.values)
 
 
-def fft_pilot(shift, P, base=None):
-    """Cyclic-shift pilot x(n) = exp(2j*pi*shift*n/P) * base(n).
+def fft_pilot(shift, P):
+    """Cyclic-shift pilot x(n) = exp(2j*pi*shift*n/P).
 
     Parameters
     ----------
@@ -60,22 +60,11 @@ def fft_pilot(shift, P, base=None):
         Cyclic shift in slots, 0 <= shift < P.
     P : int
         Sequence length.
-    base : array, optional
-        Unit-modulus base sequence of length P; defaults to all ones.
     """
     if not 0 <= shift < P:
         raise ValueError(f"shift must satisfy 0 <= shift < P, got {shift}")
-    if base is None:
-        base = np.ones(P, dtype=complex)
-    else:
-        base = np.asarray(base, dtype=complex)
-        if base.shape != (P,):
-            raise ValueError("base sequence length must equal P")
-        if np.max(np.abs(np.abs(base) - 1.0)) > _UNIT_MODULUS_TOL:
-            raise ValueError("base sequence must have unit modulus")
     n = np.arange(P)
-    values = np.exp(2j * np.pi * shift * n / P) * base
-    return PilotSequence(values=values, shift=float(shift), base=base)
+    return PilotSequence(values=np.exp(2j * np.pi * shift * n / P), shift=float(shift))
 
 
 def hadamard_pilots(K):
@@ -88,23 +77,6 @@ def hadamard_pilots(K):
     return [PilotSequence(values=row.astype(complex)) for row in H]
 
 
-def cross_matrix(a, b):
-    """Pilot cross products: the diagonal X_a^H X_b and its Fourier conjugation.
-
-    Returns (Pab, Theta) where Pab = X_a^H X_b and Theta = F Pab F^H with F the
-    unitary DFT matrix. For two exponential-ramp pilots over a common base and
-    integer relative shift d, Theta is the cyclic permutation whose first
-    column is the unit vector at position d.
-    """
-    if a.P != b.P:
-        raise ValueError("pilot lengths differ")
-    d = np.conj(a.values) * b.values
-    Pab = np.diag(d)
-    # F Diag(d) F^H: DFT the columns, inverse-DFT the rows
-    Theta = np.fft.ifft(np.fft.fft(Pab, axis=0), axis=1)
-    return Pab, Theta
-
-
 def orthogonality_residual(R_k, R_g, pkg):
     """Size of R_k P R_g P^H on the per-slot RMS scale; 0 means non-interfering.
 
@@ -112,15 +84,15 @@ def orthogonality_residual(R_k, R_g, pkg):
     the norm to the RMS-eigenvalue scale, the remaining factor P normalizes
     like the per-element MSE quantities it feeds.
 
-    `pkg` may be the dense cross-product matrix or its diagonal as a 1-D array
-    (the cross product of two diagonal pilots is always diagonal).
+    `pkg` is the diagonal of the cross product X_k^H X_g, as a 1-D array: the
+    cross product of two diagonal pilots is diagonal.
 
     When R_k and R_g are Toeplitz (checked entry for entry) and the diagonal
     `pkg` is a constant-modulus exponential ramp (equal consecutive ratios, to
     the rounding of computed phases), the product has displacement rank 2 and
     its norm takes O(P^2) time and O(P) memory (`_structured_norm`); that
     covers the cyclic-shift pilots of criterion 6 and `validate`. Every other
-    input forms the dense O(P^3) product, which is also the tests' oracle.
+    input forms the dense O(P^3) product (`_dense_norm`, also the tests' oracle).
     """
     R_k = np.asarray(R_k)
     R_g = np.asarray(R_g)
@@ -128,36 +100,25 @@ def orthogonality_residual(R_k, R_g, pkg):
         raise ValueError("covariance shapes are incompatible")
     P = R_k.shape[0]
     pkg = np.asarray(pkg)
-    if pkg.ndim == 1:
-        if pkg.shape[0] != P:
-            raise ValueError("cross-product diagonal length mismatch")
-    elif pkg.shape != (P, P):
-        raise ValueError("cross-product matrix shape mismatch")
-    structured = (
-        pkg.ndim == 1
-        and _is_ramp(pkg)
-        and _is_toeplitz(R_k)
-        and (R_g is R_k or _is_toeplitz(R_g))
-    )
+    if pkg.shape != (P,):
+        raise ValueError(f"cross-product diagonal must have shape ({P},), got {pkg.shape}")
+    structured = _is_ramp(pkg) and _is_toeplitz(R_k) and (R_g is R_k or _is_toeplitz(R_g))
     norm = _structured_norm(R_k, R_g, pkg) if structured else _dense_norm(R_k, R_g, pkg)
     return norm / P**1.5
 
 
 def _dense_norm(R_k, R_g, pkg):
-    """Frobenius norm of the dense product R_k D R_g D^H, D = diag(pkg) or the matrix pkg."""
-    if pkg.ndim == 1:
-        # scale columns, one dense product
-        prod = R_k * pkg[None, :]
-        if np.iscomplexobj(prod) and np.isrealobj(R_g):
-            # two real GEMMs, written back in place, instead of upcasting R_g
-            # to one complex GEMM
-            prod.real = prod.real @ R_g
-            prod.imag = prod.imag @ R_g
-        else:
-            prod = prod @ R_g
-        prod *= np.conj(pkg)[None, :]
+    """Frobenius norm of the dense product R_k D R_g D^H, D = diag(pkg)."""
+    # scale columns, one dense product
+    prod = R_k * pkg[None, :]
+    if np.iscomplexobj(prod) and np.isrealobj(R_g):
+        # two real GEMMs, written back in place, instead of upcasting R_g
+        # to one complex GEMM
+        prod.real = prod.real @ R_g
+        prod.imag = prod.imag @ R_g
     else:
-        prod = R_k @ pkg @ R_g @ pkg.conj().T
+        prod = prod @ R_g
+    prod *= np.conj(pkg)[None, :]
     return float(np.linalg.norm(prod, "fro"))
 
 
@@ -314,24 +275,25 @@ class AlignmentPlan:
     def validate(self):
         """Check all plan invariants; returns a list of violation messages."""
         problems = []
-        sup = self.supports()
         for k, (F, tau) in enumerate(zip(self.dopplers, self.shifts)):
             if not 0.0 < F <= 0.5:
                 problems.append(f"user {k}: max Doppler {F} outside (0, 1/2]")
             if not 0 <= tau < self.P:
                 problems.append(f"user {k}: shift {tau} outside [0, P)")
-        for k in range(self.K):
-            for g in range(k + 1, self.K):
-                gap = _circular_gap(sup[k], sup[g])
-                # interior overlap always fails; touching passes only at guard 0
-                if gap < max(self.guard, 0.0) - 1e-15 or gap < -1e-15:
-                    problems.append(
-                        f"users {k},{g}: support gap {gap:.3e} below guard {self.guard:.3e}"
-                    )
-        for k in range(self.K):
-            for band in self.forbidden:
-                if _circular_gap(sup[k], band) <= 0.0:
-                    problems.append(f"user {k}: support intersects forbidden band {band}")
+        # every support against every support and band; np.nonzero walks the
+        # (user, user) pairs above the diagonal and the (user, band) pairs in
+        # row-major order, the order of nested loops over k, then g or band
+        sup = np.array(self.supports(), dtype=float).reshape(-1, 2)
+        lo, hi = sup[:, :1], sup[:, 1:]
+        gaps = _gaps(lo, hi, sup[:, 0], sup[:, 1])
+        # interior overlap always fails; touching passes only at guard 0
+        short = (gaps < max(self.guard, 0.0) - 1e-15) | (gaps < -1e-15)
+        for k, g in zip(*np.nonzero(np.triu(short, 1))):
+            problems.append(f"users {k},{g}: support gap {gaps[k, g]:.3e} below guard {self.guard:.3e}")
+        bands = np.array(self.forbidden, dtype=float).reshape(-1, 2)
+        hits = _gaps(lo, hi, bands[:, 0], bands[:, 1]) <= 0.0
+        for k, b in zip(*np.nonzero(hits)):
+            problems.append(f"user {k}: support intersects forbidden band {self.forbidden[b]}")
         return problems
 
     def is_valid(self):
@@ -351,10 +313,6 @@ class AlignmentPlan:
         """True when every user pair occupies disjoint grid bins."""
         # some pair shares a bin exactly when some bin is covered twice
         return not (self.support_masks().sum(axis=0) > 1).any()
-
-    def pilots(self, base=None):
-        """The plan's cyclic-shift pilot sequences."""
-        return [fft_pilot(tau, self.P, base=base) for tau in self.shifts]
 
     def to_dict(self):
         return {
@@ -376,23 +334,21 @@ class AlignmentPlan:
         )
 
 
-def _circular_gap(int_a, int_b):
-    """Minimal gap (cycles) between two closed arcs on the unit circle.
+def _gaps(lo_a, hi_a, lo_b, hi_b):
+    """Minimal gaps (cycles) between closed arcs [lo_a, hi_a] and [lo_b, hi_b] on the unit circle.
 
-    Positive: clear separation (symmetric in the arguments). Zero: arcs touch
-    at a point. Negative: arcs overlap; only the sign is meaningful then (the
-    magnitude is a direction-dependent deficit).
+    The arguments broadcast against each other. Positive: clear separation
+    (symmetric in the arcs). Zero: the arcs touch at a point. Negative: they
+    overlap; only the sign is meaningful then (the magnitude is a
+    direction-dependent deficit), and arcs whose widths add up to a full turn
+    get -1.
     """
-    lo_a, hi_a = int_a
-    lo_b, hi_b = int_b
     width_a = hi_a - lo_a
     width_b = hi_b - lo_b
-    if width_a + width_b >= 1.0:
-        return -1.0
     rel = (lo_b - lo_a) % 1.0
     fwd = rel - width_a            # from a's end forward to b's start
     bwd = (1.0 - rel) - width_b    # from b's end forward to a's start
-    return min(fwd, bwd)
+    return np.where(width_a + width_b >= 1.0, -1.0, np.minimum(fwd, bwd))
 
 
 def uniform_capacity(max_doppler, guard=0.0):
@@ -497,18 +453,11 @@ def _first_fit(F, placed, forbidden, P, guard):
 def _clears(taus, F, blockers, n_placed, P, guard):
     """Which shifts put [tau/P - F, tau/P + F] clear of every blocking arc.
 
-    `_circular_gap` of every shifted support against every blocker, with the
-    same floating-point operations. The first `n_placed` blockers are placed
-    supports, which need a gap of at least the guard; the rest are forbidden
-    bands, which the support must not touch.
+    The first `n_placed` blockers are placed supports, which need a gap of at
+    least the guard; the rest are forbidden bands, which the support must not
+    touch.
     """
     center = taus[:, None] / P
-    lo_a = center - F
-    width_a = (center + F) - lo_a
-    lo_b, hi_b = blockers[:, 0], blockers[:, 1]
-    width_b = hi_b - lo_b
-    rel = (lo_b - lo_a) % 1.0
-    gap = np.minimum(rel - width_a, (1.0 - rel) - width_b)
-    gap[width_a + width_b >= 1.0] = -1.0
+    gap = _gaps(center - F, center + F, blockers[:, 0], blockers[:, 1])
     placed_clear = (gap[:, :n_placed] >= max(guard, 1e-15)).all(axis=1)
     return placed_clear & (gap[:, n_placed:] > 0.0).all(axis=1)

@@ -210,7 +210,7 @@ class ExactModel:
 
     def column(self):
         """First column of the Toeplitz covariance: the autocorrelation at lags 0..P-1."""
-        return np.asarray(self.cov.acf.values, dtype=complex)
+        return np.asarray(self.cov.values, dtype=complex)
 
     def covariance(self):
         return self.cov.toeplitz()
@@ -265,11 +265,11 @@ def _observation_terms(s, part):
 
 
 def _ramp_pilots(sequences):
-    """Whether every pilot is an exponential ramp over a constant base.
+    """Whether every pilot is an exponential ramp (a cyclic-shift pilot).
 
     Then E[y y^H] is Hermitian Toeplitz and its first column determines it.
     """
-    return all(p.shift is not None and np.all(p.base == p.base[0]) for p in sequences)
+    return all(p.shift is not None for p in sequences)
 
 
 def _setup(config, P):

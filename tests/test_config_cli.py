@@ -169,6 +169,35 @@ class TestCli:
             assert "config error" in capsys.readouterr().err, name
             assert not (out / "mse.csv").exists(), name
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "jobs", 0),
+            ("run", "jobs", 2.5),
+            ("run", "jobs", "two"),
+            ("run", "trials", 2.5),
+            ("run", "trials", True),
+            ("run", "seed", -1),
+            ("run", "sweep_lengths", [63.5]),
+            ("run", "sweep_lengths", [64, 1]),
+            ("run", "dl_lag", 1.5),
+            ("run", "dl_snr_db", "x"),
+            ("run", "perfect_csi", "maybe"),
+            ("noise", "pilot_snr_db", float("nan")),
+            ("contamination", "inr_db", float("inf")),
+            ("pilots", "shifts", [0.0, 0.25, "half", 0.75]),
+            ("pilots", "shifts", [0.0, 0.25, float("nan"), 0.75]),
+        ],
+        ids=lambda v: str(v).replace(" ", ""),
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, section, key, value):
+        doc = {**TINY, section: {**TINY.get(section, {}), key: value}}
+        out = tmp_path / "o"
+        code = main(["sweep-mse", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "mse.csv").exists()
+
     def test_bad_tolerance_scale_flag_exit_two(self, tmp_path, capsys):
         for value in ("nan", "inf", "0", "-2"):
             out = tmp_path / value

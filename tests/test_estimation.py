@@ -36,7 +36,7 @@ def clarke_scene(F, P, noise_var, shifts=(0,), power=1.0):
 
 def complex_toeplitz(cov):
     """The covariance built complex whatever its autocorrelation (the former `toeplitz`)."""
-    return toeplitz(np.asarray(cov.acf.values, dtype=complex))
+    return toeplitz(np.asarray(cov.values, dtype=complex))
 
 
 class TestRealToeplitzCovariance:
@@ -123,9 +123,7 @@ class TestErrorCovariance:
 
     def test_constant_channel_orthogonal_pair_is_interference_free(self):
         P = 8
-        samples = np.zeros(P)
-        samples[0] = P
-        cov = build_covariance(DopplerSpectrum.sampled(samples), P)
+        cov = ChannelCovariance(P, np.ones(P))  # r(v) = 1 for all v
         h0, h1 = hadamard_pilots(2)[0], None
         ps = hadamard_pilots(8)
         users = (UplinkUser(1.0, ps[0], cov), UplinkUser(1.0, ps[1], cov))
@@ -176,14 +174,14 @@ class TestErrorCovariance:
         assert error_covariance(strong, 0)[1] < error_covariance(weak, 0)[1]
 
     def test_matches_eigendomain_form_for_circulant_scene(self):
-        # a sampled (circulant-model) covariance with integer-shift pilots is
-        # exactly diagonal in the Fourier basis, so the dense finite-P trace
-        # must reproduce the eigenvalue-domain expression
+        # a circulant covariance (autocorrelation: the inverse DFT of lam) with
+        # integer-shift pilots is exactly diagonal in the Fourier basis, so the
+        # dense finite-P trace must reproduce the eigenvalue-domain expression
         P = 64
         lam = np.zeros(P)
         lam[:6] = [3.0, 8.0, 6.0, 1.0, 0.5, 2.5]
         lam *= P / lam.sum()
-        cov = build_covariance(DopplerSpectrum.sampled(lam), P)
+        cov = ChannelCovariance(P, np.fft.ifft(lam))
         dtau = 17
         users = (
             UplinkUser(1.3, fft_pilot(0, P), cov),
@@ -266,13 +264,9 @@ def random_interferer(rng, kind):
     """One (spectrum, shift, weight) triple; shifts reach past +-1/2, weights may be 0."""
     if kind == "clarke":
         sp = DopplerSpectrum.clarke(rng.uniform(0.001, 0.08), power=rng.uniform(0.2, 2.0))
-    elif kind == "flat":
+    else:
         lo = rng.uniform(-0.5, 0.4)
         sp = DopplerSpectrum.flat_band(lo, min(0.5, lo + rng.uniform(0.01, 0.3)), power=rng.uniform(0.2, 2.0))
-    else:
-        values = rng.uniform(0.0, 3.0, int(rng.integers(8, 17)))
-        values[rng.random(values.size) < 0.5] = 0.0
-        sp = DopplerSpectrum.sampled(values)
     weight = 0.0 if rng.random() < 0.15 else rng.uniform(0.1, 3.0)
     return sp, rng.uniform(-1.5, 1.5), weight
 
@@ -299,7 +293,7 @@ class TestBatchedInterference:
         rng = np.random.default_rng(seed)
         user = DopplerSpectrum.clarke(rng.uniform(0.001, 0.05))
         # kinds interleaved in random order
-        kinds = rng.choice(["clarke", "flat", "sampled"], count)
+        kinds = rng.choice(["clarke", "flat"], count)
         interferers = [random_interferer(rng, kind) for kind in kinds]
         noise = rng.uniform(0.05, 2.0)
         assert asymptotic_mse(user, 1.0, noise, interferers) == loop_asymptotic_mse(user, 1.0, noise, interferers)
@@ -341,7 +335,7 @@ class TestBatchedInterference:
             (DopplerSpectrum.clarke(0.125), 0.625, 2.0),
             (DopplerSpectrum.flat_band(-0.25, 0.25, power=0.5), -0.75, 1.0),
             (DopplerSpectrum.clarke(0.2), -0.25, 0.0),
-            (DopplerSpectrum.sampled(np.arange(16.0)), 1.0, 0.3),
+            (DopplerSpectrum.flat_band(-0.5, 0.1, power=2.0), 1.0, 0.3),
         ]
         xi = np.array([-0.5, -0.375, -0.25, 0.0, 0.25, 0.5, 0.75, 0.1])
         total = 0.0

@@ -1,24 +1,32 @@
 import logging
 import math
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import circulant, toeplitz
+from scipy.linalg import toeplitz
 
 from psdalign.fading import (
     DopplerSpectrum,
     build_covariance,
-    clarke_autocorrelation,
-    clarke_psd,
     complex_normal,
-    flat_psd,
     grid_frequencies,
     stacked_psd,
 )
 from psdalign.simkit import CirculantModel, ExactModel
+
+
+def clarke_autocorrelation(F, lag):
+    return DopplerSpectrum.clarke(F).autocorrelation(lag)
+
+
+def clarke_psd(F, xi):
+    return DopplerSpectrum.clarke(F).psd(xi)
+
+
+def flat_psd(band, power, xi):
+    return DopplerSpectrum.flat_band(*band, power=power).psd(xi)
 
 
 class TestClarkeAutocorrelation:
@@ -93,6 +101,23 @@ class TestFlatPsd:
         assert abs(val - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "spectrum",
+    [DopplerSpectrum.clarke(0.125, power=2.0), DopplerSpectrum.flat_band(-0.125, 0.25, power=2.0)],
+    ids=["clarke", "flat"],
+)
+def test_psd_is_a_float_for_a_scalar_and_an_array_otherwise(spectrum):
+    for xi in (0.0, 0.125, 0.3, np.float64(0.1), np.array(0.25)):
+        value = spectrum.psd(xi)
+        assert type(value) is float
+        assert value == spectrum.psd(np.array([xi]))[0]
+    for xi in ([0.0], np.array([0.1, 0.125, -0.3]), np.zeros((2, 3))):
+        value = spectrum.psd(xi)
+        assert isinstance(value, np.ndarray) and value.shape == np.shape(xi)
+    # a powerless bathtub edge is nan (0 * inf) with no numpy warning
+    assert math.isnan(DopplerSpectrum.clarke(0.125, power=0.0).psd(0.125))
+
+
 class TestSpectrumInvariants:
     @given(
         F=st.floats(min_value=1e-3, max_value=0.5),
@@ -115,7 +140,7 @@ def test_stacked_psd_rows_match_psd_bit_for_bit():
     spectra = [
         DopplerSpectrum.flat_band(-0.1, 0.2, power=2.0),
         DopplerSpectrum.clarke(0.125, power=0.5),
-        DopplerSpectrum.sampled(np.arange(8.0)),
+        DopplerSpectrum.flat_band(-0.5, 0.25, power=0.5),
         DopplerSpectrum.clarke(0.3),
     ]
     rng = np.random.default_rng(2)
@@ -146,19 +171,7 @@ class TestBuildCovariance:
         cov = build_covariance(spectrum, 64)
         R = cov.toeplitz()
         assert R.dtype == dtype
-        assert np.array_equal(R, toeplitz(np.asarray(cov.acf.values, dtype=complex)))
-
-    def test_constant_channel_limit(self):
-        # delta spectrum at DC: r(v) = 1 for all v
-        P = 64
-        samples = np.zeros(P)
-        samples[0] = P
-        cov = build_covariance(DopplerSpectrum.sampled(samples), P)
-        assert np.allclose(cov.acf.values, 1.0)
-        C = circulant(cov.circulant_column)
-        assert np.allclose(C, np.ones((P, P)))
-        lam = np.sort(cov.eigenvalues)[::-1]
-        assert abs(lam[0] - P) < 1e-9 and np.all(np.abs(lam[1:]) < 1e-9)
+        assert np.array_equal(R, toeplitz(np.asarray(cov.values, dtype=complex)))
 
     def test_eigenvalues_match_bin_averaged_psd(self):
         # interior bins of a well-resolved bathtub agree with P * (bin mass)
@@ -192,27 +205,6 @@ class TestBuildCovariance:
         with pytest.raises(ValueError):
             build_covariance(DopplerSpectrum.clarke(0.01), 1)
 
-    @pytest.mark.parametrize("P", [63, 64])
-    def test_sampled_autocorrelation_matches_dense_form(self, P):
-        samples = np.random.default_rng(P).uniform(0.0, 2.0, P)
-        sp = DopplerSpectrum.sampled(samples)
-        values = build_covariance(sp, P).acf.values
-        dense = sp.autocorrelation(np.arange(P))
-        assert np.max(np.abs(values - dense)) <= 1e-12 * sp.power
-        # fractional lags keep the dense grid sum
-        lags = np.array([0.25, 1.5, P - 0.75])
-        xi = grid_frequencies(P)
-        want = np.exp(2j * np.pi * np.outer(lags, xi)) @ samples / P
-        assert np.max(np.abs(sp.autocorrelation(lags) - want)) <= 1e-12 * sp.power
-
-    def test_sampled_model_builds_without_a_dense_product(self):
-        # the P x P complex-exponential product took 1.2-1.5 s and 512 MB at this size
-        sp = DopplerSpectrum.sampled(np.ones(4096))
-        start = time.perf_counter()
-        model = CirculantModel(sp, 4096)
-        assert time.perf_counter() - start < 0.25
-        np.testing.assert_allclose(model.lam, 1.0, rtol=1e-12)
-
 
 @pytest.mark.parametrize("shape", [(), (1024,), (1024, 16)])
 def test_complex_normal_bits_unchanged(shape):
@@ -230,18 +222,18 @@ def window(model, rng_seed, M):
 
 
 class TestSynthesis:
-    """Channel draws through the simulator's models; sampled spectra use the circulant one."""
+    """Channel draws through the simulator's models."""
 
     def test_zero_spectrum_gives_zero_realization(self):
         P = 32
-        h = window(CirculantModel(DopplerSpectrum.sampled(np.zeros(P)), P), 3, 1)
+        h = window(CirculantModel(DopplerSpectrum.clarke(0.05, power=0.0), P), 3, 1)
         assert np.all(h == 0)
 
     def test_constant_channel_columns_constant(self):
+        # the constant-channel limit: at a vanishing Doppler every slot of a
+        # window carries the same antenna gains, up to phases below 1e-6
         P = 64
-        samples = np.zeros(P)
-        samples[0] = P
-        h = window(CirculantModel(DopplerSpectrum.sampled(samples), P), 5, 4)
+        h = window(ExactModel(DopplerSpectrum.clarke(1e-9), P), 5, 4)
         assert np.allclose(h, h[0:1, :])
         assert not np.allclose(h[0], 0)
 

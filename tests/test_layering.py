@@ -5,11 +5,13 @@ for code paths no other test happens to import.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "psdalign"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "psdalign"
 
 # the lower layers: numerics that know nothing of the simulator or the CLI
 LOWER = ("fading", "pilots", "quadrature", "estimation", "toeplitz", "nufft")
@@ -82,3 +84,26 @@ def test_scanner_reads_relative_and_absolute_imports(tmp_path):
         "import numpy as np\n"
     )
     assert psdalign_imports(source) == {"estimation", "pilots", "config", "simkit", "cli"}
+
+
+def load_tracer():
+    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize(
+    "module, path",
+    [entry[:2] for entry in TRACER.BOUNDARIES + TRACER.COUNTED_ONLY],
+    ids=lambda v: v,
+)
+def test_benchmark_tracer_names_resolve(module, path):
+    # the tracer replaces owner.__dict__[attr]: a name renamed or deleted here
+    # makes every traced benchmark run raise KeyError
+    owner, attr = TRACER._resolve(module, path)
+    assert attr in owner.__dict__

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from psdalign import pilots
-from psdalign.fading import DopplerSpectrum, clarke_autocorrelation, grid_frequencies
+from psdalign.fading import DopplerSpectrum, build_covariance, grid_frequencies
 from psdalign.pilots import (
     AlignmentPlan,
     PlanInfeasibleError,
-    cross_matrix,
     fft_pilot,
     hadamard_pilots,
     orthogonality_residual,
@@ -18,6 +17,11 @@ from psdalign.pilots import (
     shift_orthogonal,
     uniform_capacity,
 )
+
+
+def clarke_toeplitz(F, P):
+    """The P x P covariance of the bathtub spectrum of half-width F."""
+    return build_covariance(DopplerSpectrum.clarke(F), P).toeplitz()
 
 
 class TestFftPilot:
@@ -30,7 +34,7 @@ class TestFftPilot:
         assert np.allclose(p.values, (-1.0) ** np.arange(8))
 
     def test_unit_modulus(self):
-        p = fft_pilot(3.7, 64, base=np.exp(1j * np.linspace(0, 5, 64)))
+        p = fft_pilot(3.7, 64)
         assert np.max(np.abs(np.abs(p.values) - 1.0)) < 1e-12
 
     def test_shift_out_of_range(self):
@@ -38,10 +42,6 @@ class TestFftPilot:
             fft_pilot(8, 8)
         with pytest.raises(ValueError):
             fft_pilot(-1, 8)
-
-    def test_non_unit_modulus_base_rejected(self):
-        with pytest.raises(ValueError):
-            fft_pilot(0, 4, base=np.array([1.0, 2.0, 1.0, 1.0]))
 
     @given(st.integers(0, 63), st.integers(4, 64))
     @settings(max_examples=40, deadline=None)
@@ -73,36 +73,31 @@ class TestHadamard:
             hadamard_pilots(K)
 
 
+def fourier_cross(a, b):
+    """Theta = F X_a^H X_b F^H, with F the unitary DFT matrix: DFT the columns, inverse-DFT the rows."""
+    return np.fft.ifft(np.fft.fft(np.diag(np.conj(a.values) * b.values), axis=0), axis=1)
+
+
 class TestCrossMatrix:
+    """For two ramps at integer relative shift d, Theta is the cyclic permutation by d."""
+
     def test_same_pilot_gives_identity(self):
         a = fft_pilot(5, 16)
-        Pab, Theta = cross_matrix(a, a)
-        assert np.allclose(Pab, np.eye(16))
-        assert np.allclose(Theta, np.eye(16), atol=1e-12)
+        assert np.allclose(fourier_cross(a, a), np.eye(16), atol=1e-12)
 
     def test_relative_shift_permutation_column(self):
         a, b = fft_pilot(0, 8), fft_pilot(3, 8)
-        _, Theta = cross_matrix(a, b)
         expected = np.zeros(8)
         expected[3] = 1.0
-        assert np.allclose(Theta[:, 0], expected, atol=1e-12)
+        assert np.allclose(fourier_cross(a, b)[:, 0], expected, atol=1e-12)
 
     def test_theta_is_unitary_permutation(self):
         a, b = fft_pilot(2, 32), fft_pilot(9, 32)
-        _, Theta = cross_matrix(a, b)
+        Theta = fourier_cross(a, b)
         mags = np.abs(Theta)
         assert np.allclose(np.sort(mags, axis=1)[:, :-1], 0.0, atol=1e-10)
         assert np.allclose(np.max(mags, axis=1), 1.0, atol=1e-10)
         assert np.allclose(Theta @ Theta.conj().T, np.eye(32), atol=1e-10)
-
-    def test_hadamard_pair_traceless(self):
-        ps = hadamard_pilots(8)
-        Pab, _ = cross_matrix(ps[0], ps[1])
-        assert abs(np.trace(Pab)) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cross_matrix(fft_pilot(0, 8), fft_pilot(0, 16))
 
 
 class TestOrthogonalityResidual:
@@ -113,21 +108,13 @@ class TestOrthogonalityResidual:
         assert orthogonality_residual(ones, ones, d) < 1e-10
 
     def test_same_user_positive(self):
-        r = clarke_autocorrelation(0.05, np.arange(64))
-        R = toeplitz(r)
+        R = clarke_toeplitz(0.05, 64)
         assert orthogonality_residual(R, R, np.ones(64)) > 1e-3
-
-    def test_dense_and_diagonal_forms_agree(self):
-        rng = np.random.default_rng(5)
-        r = clarke_autocorrelation(0.05, np.arange(32))
-        R = toeplitz(r)
-        d = np.exp(2j * np.pi * rng.random(32))
-        assert abs(orthogonality_residual(R, R, d) - orthogonality_residual(R, R, np.diag(d))) < 1e-12
 
     def test_half_circle_shift_decays(self):
         vals = []
         for P in (256, 512, 1024):
-            R = toeplitz(clarke_autocorrelation(0.002, np.arange(P)))
+            R = clarke_toeplitz(0.002, P)
             d = np.exp(2j * np.pi * (P // 2) * np.arange(P) / P)
             vals.append(orthogonality_residual(R, R, d))
         assert vals[0] > vals[1] > vals[2]
@@ -184,18 +171,18 @@ class TestStructuredResidual:
         assert dense.call_count == 1
 
     def test_non_ramp_diagonal_falls_back(self):
-        R = toeplitz(clarke_autocorrelation(0.05, np.arange(16)))
+        R = clarke_toeplitz(0.05, 16)
         rows = hadamard_pilots(16)
         pkg = np.conj(rows[1].values) * rows[2].values
         with counting_dense() as dense:
             orthogonality_residual(R, R, pkg)
         assert dense.call_count == 1
 
-    def test_matrix_cross_product_falls_back(self):
-        R = toeplitz(clarke_autocorrelation(0.05, np.arange(16)))
-        with counting_dense() as dense:
-            orthogonality_residual(R, R, np.diag(fft_pilot(8, 16).values))
-        assert dense.call_count == 1
+    def test_rejects_anything_but_the_diagonal(self):
+        R = clarke_toeplitz(0.05, 16)
+        for pkg in (np.diag(fft_pilot(8, 16).values), np.ones(15), np.ones((1, 16))):
+            with pytest.raises(ValueError, match="cross-product diagonal"):
+                orthogonality_residual(R, R, pkg)
 
     def test_criterion_6_and_validate_never_form_the_dense_product(self, registry_run):
         assert any(c.name.startswith("orthogonality_residual") for c in registry_run.checks)
@@ -304,6 +291,20 @@ def band_strategy(max_width):
     )
 
 
+def circular_gap(int_a, int_b):
+    """The scalar gap between two closed arcs that `pilots._gaps` broadcast (oracle)."""
+    lo_a, hi_a = int_a
+    lo_b, hi_b = int_b
+    width_a = hi_a - lo_a
+    width_b = hi_b - lo_b
+    if width_a + width_b >= 1.0:
+        return -1.0
+    rel = (lo_b - lo_a) % 1.0
+    fwd = rel - width_a            # from a's end forward to b's start
+    bwd = (1.0 - rel) - width_b    # from b's end forward to a's start
+    return min(fwd, bwd)
+
+
 def scan_first_fit(F, placed, forbidden, P, guard):
     """The integer-scan first fit that the candidate-arc planner replaced (oracle)."""
 
@@ -311,10 +312,10 @@ def scan_first_fit(F, placed, forbidden, P, guard):
         center = tau / P
         sup = (center - F, center + F)
         for other in placed:
-            if pilots._circular_gap(sup, other) < max(guard, 1e-15):
+            if circular_gap(sup, other) < max(guard, 1e-15):
                 return False
         for band in forbidden:
-            if pilots._circular_gap(sup, band) <= 0.0:
+            if circular_gap(sup, band) <= 0.0:
                 return False
         return True
 
@@ -408,20 +409,24 @@ class TestFirstFit:
         assert plan.is_valid()
 
     def test_plans_without_scanning_the_circle(self, monkeypatch):
-        """First fit tests candidate arcs, not P shifts one scalar gap at a time."""
-        calls = []
-        original = pilots._circular_gap
+        """First fit tests each user's candidate arcs in one call, not all P shifts."""
+        sizes = []
+        original = pilots._gaps
 
-        def counted(int_a, int_b):
-            calls.append(1)
-            return original(int_a, int_b)
+        def counted(*arcs):
+            gaps = original(*arcs)
+            sizes.append(gaps.size)
+            return gaps
 
-        monkeypatch.setattr(pilots, "_circular_gap", counted)
-        K = 40
+        monkeypatch.setattr(pilots, "_gaps", counted)
+        K, P = 40, 4096
         dopplers = np.random.default_rng(4).uniform(0.001, 0.004, K).tolist()
-        plan = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
+        plan = plan_alignment(dopplers, [(-0.375, 0.375)], P)
+        assert len(sizes) == K
         assert plan.is_valid()
-        assert len(calls) <= K * (K + 1)
+        assert len(sizes) == K + 2  # validate: the user pairs, then the bands
+        # scanning would test P shifts against every blocker of every user
+        assert sum(sizes) < P * K
 
 
 class TestSupportRuns:
@@ -557,6 +562,84 @@ class TestSupportMasks:
         assert np.array_equal(plan.support_masks(), loop_support_masks(plan))
         assert plan.pairwise_orthogonal()
 
+def gap(int_a, int_b):
+    """`pilots._gaps` of two single arcs, as a float."""
+    return float(pilots._gaps(*int_a, *int_b))
+
+
+@st.composite
+def arc_pairs(draw):
+    """Two arcs that touch, overlap by 1e-12, wrap past 1, cover the circle together, or lie anywhere."""
+    lo_a = draw(st.floats(-1.0, 1.0))
+    wa = draw(st.floats(0.0, 0.9))
+    wb = draw(st.floats(0.0, 0.9))
+    case = draw(st.sampled_from(["touch after", "touch before", "overlap", "wrap", "full", "any"]))
+    if case == "touch after":
+        lo_b = lo_a + wa
+    elif case == "touch before":
+        lo_b = lo_a - wb
+    elif case == "overlap":
+        lo_b = lo_a + wa - 1e-12
+    elif case == "wrap":
+        lo_b = draw(st.floats(0.9, 1.0))
+        wb = draw(st.floats(0.1, 0.5))
+    elif case == "full":
+        wb = 1.0 - wa + draw(st.floats(0.0, 0.5))
+        lo_b = draw(st.floats(-1.0, 1.0))
+    else:
+        lo_b = draw(st.floats(-1.0, 1.0))
+    return (lo_a, lo_a + wa), (lo_b, lo_b + wb)
+
+
+def loop_validate(plan):
+    """The pairwise loop that `AlignmentPlan.validate` replaced (oracle)."""
+    problems = []
+    sup = plan.supports()
+    for k, (F, tau) in enumerate(zip(plan.dopplers, plan.shifts)):
+        if not 0.0 < F <= 0.5:
+            problems.append(f"user {k}: max Doppler {F} outside (0, 1/2]")
+        if not 0 <= tau < plan.P:
+            problems.append(f"user {k}: shift {tau} outside [0, P)")
+    for k in range(plan.K):
+        for g in range(k + 1, plan.K):
+            gap_kg = circular_gap(sup[k], sup[g])
+            if gap_kg < max(plan.guard, 0.0) - 1e-15 or gap_kg < -1e-15:
+                problems.append(f"users {k},{g}: support gap {gap_kg:.3e} below guard {plan.guard:.3e}")
+    for k in range(plan.K):
+        for band in plan.forbidden:
+            if circular_gap(sup[k], band) <= 0.0:
+                problems.append(f"user {k}: support intersects forbidden band {band}")
+    return problems
+
+
+@st.composite
+def plans(draw):
+    """Plans with overlapping, touching and out-of-range supports and forbidden-band hits."""
+    P = draw(st.integers(2, 4096))
+    K = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        # a ladder of equal supports that touch: half-width m/P at shifts 2mk
+        m = draw(st.integers(1, max(1, P // (2 * max(K, 1)))))
+        dopplers = [m / P] * K
+        shifts = [float(2 * m * k % P) for k in range(K)]
+    else:
+        doppler = st.one_of(
+            st.floats(1e-4, 0.5), st.integers(1, max(1, P // 2)).map(lambda m: m / P), st.sampled_from([0.0, 0.75])
+        )
+        shift = st.one_of(
+            st.floats(0.0, P, exclude_max=True), st.integers(0, P - 1).map(float), st.sampled_from([-1.0, float(P)])
+        )
+        dopplers = draw(st.lists(doppler, min_size=K, max_size=K))
+        shifts = draw(st.lists(shift, min_size=K, max_size=K))
+    return AlignmentPlan(
+        dopplers=tuple(dopplers),
+        shifts=tuple(shifts),
+        P=P,
+        forbidden=tuple(draw(st.lists(band_strategy(0.3), max_size=3))),
+        guard=draw(st.sampled_from([0.0, 1 / P, 1e-3])),
+    )
+
+
 class TestCircularGeometry:
     @given(
         lo_a=st.floats(0.0, 1.0),
@@ -569,28 +652,57 @@ class TestCircularGeometry:
     @example(lo_a=0.125, wa=0.25, lo_b=1e-12, wb=0.125)
     @settings(max_examples=80, deadline=None)
     def test_gap_against_dense_sampling(self, lo_a, wa, lo_b, wb):
-        from psdalign.pilots import _circular_gap
-
-        gap = _circular_gap((lo_a, lo_a + wa), (lo_b, lo_b + wb))
+        gap_ab = gap((lo_a, lo_a + wa), (lo_b, lo_b + wb))
         # brute force: dense points of b, distance-to-a on the circle
         t = lo_b + np.linspace(0, wb, 4001)
         rel = (t - lo_a) % 1.0
         overlap = np.any(rel <= wa + 1e-12)
-        if gap > 1e-3:
+        if gap_ab > 1e-3:
             assert not overlap
-        elif gap < -1e-3:
+        elif gap_ab < -1e-3:
             assert overlap
         # separation is symmetric; the overlap deficit is sign-symmetric only,
         # and exact touching may land a rounding ulp on either side of zero
-        mirror = _circular_gap((lo_b, lo_b + wb), (lo_a, lo_a + wa))
-        if gap > 1e-12:
-            assert mirror == pytest.approx(gap, abs=1e-12)
-        elif gap < -1e-12:
+        mirror = gap((lo_b, lo_b + wb), (lo_a, lo_a + wa))
+        if gap_ab > 1e-12:
+            assert mirror == pytest.approx(gap_ab, abs=1e-12)
+        elif gap_ab < -1e-12:
             assert mirror < 1e-12
         else:
             # near touching both directions evaluate the same two differences
             # (the arcs' starts differ by at least a width), up to rounding
-            assert abs(mirror - gap) <= 1e-15
+            assert abs(mirror - gap_ab) <= 1e-15
+
+    @given(st.lists(arc_pairs(), min_size=1, max_size=6))
+    @example([((0.125, 0.375), (1e-12, 1e-12 + 0.125))])
+    @settings(max_examples=150, deadline=None)
+    def test_gaps_equal_the_scalar_oracle(self, pairs):
+        # every arc of the first column against every arc of the second, the
+        # drawn pairs on the diagonal, as `validate` broadcasts them
+        a = np.array([p[0] for p in pairs])
+        b = np.array([p[1] for p in pairs])
+        got = pilots._gaps(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
+        want = [[circular_gap(int_a, int_b) for int_b in b.tolist()] for int_a in a.tolist()]
+        assert got.tolist() == want
+        assert [gap(int_a, int_b) for int_a, int_b in pairs] == np.diag(want).tolist()
+
+    @given(plans())
+    @settings(max_examples=150, deadline=None)
+    def test_validate_messages_equal_the_pairwise_loop(self, plan):
+        assert plan.validate() == loop_validate(plan)
+
+    def test_validate_messages_on_a_crowded_plan(self):
+        # a planned 40-user set with every shift moved: overlaps, band hits and
+        # pairs below the guard, in the loop's order
+        dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
+        planned = plan_alignment(dopplers, [(-0.375, 0.375)], 4096, guard=1 / 4096)
+        shifts = np.random.default_rng(6).uniform(0, 4096, 40).tolist()
+        plan = AlignmentPlan(planned.dopplers, tuple(shifts), 4096, planned.forbidden, planned.guard)
+        problems = plan.validate()
+        assert any(p.startswith("users ") for p in problems)
+        assert any("forbidden band" in p for p in problems)
+        assert problems == loop_validate(plan)
+        assert planned.validate() == loop_validate(planned) == []
 
 
 class TestPlanPilotsIntegration:

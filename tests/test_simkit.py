@@ -270,13 +270,11 @@ class TestStructuredSolver:
         cfg = small_config(channel_model=channel_model, scheme="hadamard")
         assert self.dense_calls(monkeypatch, cfg).count("cho_factor") == 1
 
-    def test_only_constant_base_ramps_are_toeplitz(self):
+    def test_only_ramps_are_toeplitz(self):
         P = 16
-        ramps = [pilots.fft_pilot(s, P, np.full(P, 1j)) for s in (0.5, 3.25)]
-        assert simkit._ramp_pilots(ramps)
-        base = np.exp(2j * np.pi * np.arange(P) ** 2 / P)
-        assert not simkit._ramp_pilots([pilots.fft_pilot(0.5, P, base)])
+        assert simkit._ramp_pilots([pilots.fft_pilot(s, P) for s in (0.5, 3.25)])
         assert not simkit._ramp_pilots(pilots.hadamard_pilots(4))
+        assert not simkit._ramp_pilots([pilots.fft_pilot(0.5, P), pilots.PilotSequence(np.ones(P))])
 
     def test_exact_model_holds_no_synthesis_matrix(self):
         # the phase matrix of a direct synthesis of the contamination band

@@ -21,16 +21,16 @@ def rel_err(actual, expected):
 def scenes(draw):
     """(column, dense matrix) of E[y y^H] for a random ramp-pilot scene.
 
-    1-8 users at fractional shifts over one constant unit-modulus base, mixed
+    1-8 users at fractional shifts with one common unit-modulus phase, mixed
     powers, flat-band contamination on or off, either channel model.
     """
     P = draw(st.integers(8, 512))
     model = draw(st.sampled_from([CirculantModel, ExactModel]))
     user = model(DopplerSpectrum.clarke(draw(st.floats(0.002, 0.2))), P)
-    base = np.full(P, np.exp(2j * np.pi * draw(st.floats(0.0, 1.0))))
+    phase = np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
     shifts = draw(st.lists(st.floats(0.0, P, exclude_max=True), min_size=1, max_size=8))
     powers = draw(st.lists(st.floats(0.1, 10.0), min_size=len(shifts), max_size=len(shifts)))
-    ramps = [pilots.fft_pilot(shift, P, base).values for shift in shifts]
+    ramps = [phase * pilots.fft_pilot(shift, P).values for shift in shifts]
     sources = [(power, user, x) for power, x in zip(powers, ramps)]
     if draw(st.booleans()):
         lo = draw(st.floats(-0.5, 0.4))
