@@ -30,7 +30,7 @@ def _phases(nodes, N):
 
 
 class Type1:
-    """f = T(c) for a (Q, M) block of strengths c at the nodes given at construction.
+    """f = T(c), (M, N), for a (Q, M) block of strengths c at the nodes given at construction.
 
     The direct sum is cheaper for few nodes: it is used, with its N x Q phase
     matrix built once, when Q <= 16 log2(2N) (the measured crossover with 16
@@ -76,16 +76,17 @@ class Type1:
         )
         k = np.arange(N) - centre
         self._gather = k % size
-        self._deconvolve = (math.sqrt(math.pi / tau) * np.exp(tau * k**2))[:, None]
+        self._deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * k**2)
 
     def __call__(self, c):
-        """(N, M) sums for a (Q, M) block of strengths."""
+        """(M, N) sums for a (Q, M) block of strengths: one row of N outputs per column of c."""
         if self._spread is None:
             return self.dense(c)
-        grid = np.fft.ifft(self._spread @ c, axis=0)
-        return grid[self._gather] * self._deconvolve
+        # one grid row per column of c, so the inverse FFT runs along the contiguous axis
+        grid = np.fft.ifft(np.ascontiguousarray((self._spread @ c).T))
+        return np.take(grid, self._gather, axis=1) * self._deconvolve
 
     def dense(self, c):
-        """The direct sum, whichever way the transform evaluates: the reference for tests."""
+        """The direct sum as (M, N), whichever way the transform evaluates: the reference for tests."""
         phases = self._phases if self._phases is not None else _phases(self.nodes, self.N)
-        return phases @ c
+        return (phases @ c).T

@@ -12,9 +12,10 @@ on the Clarke spectrum; contamination is a second instance of the same class
 on the flat-band spectrum.
 
 With exponential-ramp (PSD-aligned) pilots the observation covariance is
-Hermitian Toeplitz, and trials solve with its Gohberg-Semencul inverse
-(`psdalign.toeplitz`): no P x P array is formed. Other pilots (Hadamard)
-factor the dense matrix by Cholesky.
+Hermitian Toeplitz, and trials solve with its inverse written through
+circulant and skew-circulant factors (`psdalign.toeplitz`): no P x P array is
+formed, and every transform has length P. Other pilots (Hadamard) factor the
+dense matrix by Cholesky.
 
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
@@ -217,7 +218,7 @@ class ExactModel:
 
     def draw(self, rng, M):
         """A ChannelDraw; the basis is the window itself."""
-        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M))).T
+        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
         window = block[:, : self.P]
         return ChannelDraw(window, block[:, -1], window)
 

@@ -1,23 +1,39 @@
 """Hermitian Toeplitz matrices held by their first column.
 
 A Hermitian Toeplitz matrix T is fixed by its first column t: T[m, n] = t[m - n]
-below the diagonal and conj(t[n - m]) above it. Products with T take FFTs of
-its length-2P circulant embedding. The inverse of a positive definite T takes
-one Levinson solve for its first column u = T^{-1} e_0; with v the reversed
-conjugate of u shifted down by one slot, (0, conj(u[P-1]), ..., conj(u[1])),
-the Gohberg-Semencul formula
+below the diagonal and conj(t[n - m]) above it. Products with T and with its
+inverse go through circulant and skew-circulant matrices named by their first
+column, and so take FFTs of length P only:
 
-    T^{-1} = (L(u) L(u)^H - L(v) L(v)^H) / u[0]
+    C(h) x = ifft(fft(h) fft(x)),    S(h) = D^H C(D h) D,    D = diag(exp(1j*pi*n/P)),
 
-writes it through lower-triangular Toeplitz factors L(.) named by their first
-column, each applied by FFT. Set-up is O(P^2), a solve O(P log P) per column,
-and the trace O(P). The formula is not backward stable in general; on the
-well-conditioned observation covariances of the simulator it agrees with a
-dense Cholesky solve to about 1e-11 relative (tests/test_toeplitz.py).
+where S(h) has h[m - n] on and below the diagonal and -h[P + m - n] above it.
+
+- T = C(c) + S(d) with c_0 = d_0 = t_0 / 2 and c_j, d_j = (t_j +- conj(t_{P-j})) / 2,
+  so a product costs four FFTs a column.
+- The inverse of a positive definite T starts from its first column
+  u = T^{-1} e_0, by the Durbin recursion in O(P^2). T is positive definite
+  exactly when the prediction-error power of every order stays positive, and
+  the recursion checks that as it goes. With v the reversed conjugate of u
+  shifted down by one slot, (0, conj(u[P-1]), ..., conj(u[1])), T^{-1} has
+  displacement rank 2 for the circulant and skew-circulant shifts, and
+  (Ammar & Gader, "A variant of the Gohberg-Semencul formula involving
+  circulant matrices", SIAM J. Matrix Anal. Appl. 12(3), 1991)
+
+      T^{-1} = (C(u) S(u)^H - C(v + u_0 e_0) S(v - u_0 e_0)^H) / (2 u_0),
+
+  so a solve costs six FFTs a column, with S(h)^H y = D^H ifft(conj(fft(D h)) fft(D y)).
+  The trace comes in O(P) from the Gohberg-Semencul form of the same inverse,
+  T^{-1} = (L(u) L(u)^H - L(v) L(v)^H) / u_0, with L(.) lower-triangular Toeplitz.
+
+The formula is not backward stable in general; on the observation
+covariances of the simulator it agrees with a dense Cholesky solve to 1e-10
+relative or better (tests/test_toeplitz.py).
 """
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
+
+_NOT_POSITIVE_DEFINITE = "Toeplitz matrix is not positive definite"
 
 
 def _column(column):
@@ -32,50 +48,97 @@ def _rows(X):
     return np.ascontiguousarray(np.asarray(X).T)
 
 
+def _reflect(x):
+    """(0, conj(x[P-1]), ..., conj(x[1])): x reversed, conjugated and shifted down one slot."""
+    r = np.zeros_like(x)
+    r[1:] = np.conj(x[:0:-1])
+    return r
+
+
+def _skew(P):
+    """The diagonal of D, which turns a skew-circulant product into a circulant one."""
+    return np.exp(1j * np.pi * np.arange(P) / P)
+
+
+def _durbin(t):
+    """u = T^{-1} e_0 by the Durbin recursion on the prediction-error filter a.
+
+    Order k solves T_k a = (E_k, 0, ..., 0); T is positive definite exactly
+    when every E_k > 0, and then u = a / E_{P-1}. With E_0 = t_0 and
+    E_k = E_{k-1} (1 - |kappa_k|^2), that is E_0 > 0 and every reflection
+    coefficient |kappa_k| = |delta_k| / E_{k-1} < 1, tested before the division.
+    """
+    P = t.size
+    reversed_t = t[::-1].copy()  # t[k:0:-1] as a forward slice
+    a = np.zeros(P, dtype=complex)
+    a[0] = 1.0
+    power = t[0].real
+    for k in range(1, P):
+        delta = np.dot(reversed_t[P - 1 - k : P - 1], a[:k])
+        if not abs(delta) < power:
+            raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE)
+        kappa = -delta / power
+        head = a[: k + 1]
+        head += kappa * np.conj(head[::-1])
+        power *= 1.0 - (kappa.real**2 + kappa.imag**2)
+    if not power > 0:
+        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE)
+    return a / power
+
+
 class HermitianToeplitz:
-    """T X by FFT of the circulant embedding of T."""
+    """T X through its circulant plus skew-circulant split."""
 
     def __init__(self, column):
         t = _column(column)
         self.P = t.size
-        # circulant of size 2P whose leading P x P block is T
-        embedding = np.concatenate([t, [0.0], np.conj(t[:0:-1])])
-        self._spectrum = np.fft.fft(embedding)
+        wrapped = _reflect(t)  # conj(t[P - j]) at j >= 1
+        self._D = _skew(self.P)
+        self._C = np.fft.fft((t + wrapped) / 2)
+        self._S = np.fft.fft(self._D * (t - wrapped) / 2)
 
     def matvec(self, X):
         """T @ X for a length-P vector or a (P, M) block."""
-        product = np.fft.ifft(self._spectrum * np.fft.fft(_rows(X), 2 * self.P))
-        return product[..., : self.P].T
+        X = _rows(X)
+        product = np.fft.ifft(self._S * np.fft.fft(X * self._D))
+        product *= np.conj(self._D)
+        product += np.fft.ifft(self._C * np.fft.fft(X))
+        return product.T
 
 
 class ToeplitzInverse:
-    """Gohberg-Semencul form of the inverse of a Hermitian positive definite Toeplitz T."""
+    """Ammar-Gader form of the inverse of a Hermitian positive definite Toeplitz T."""
 
     def __init__(self, column):
         t = _column(column)
         self.P = P = t.size
-        e0 = np.zeros(P, dtype=complex)
-        e0[0] = 1.0
-        u = solve_toeplitz((t, np.conj(t)), e0)
-        self.u0 = float(u[0].real)
-        if not self.u0 > 0:
-            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-        v = np.zeros(P, dtype=complex)
-        v[1:] = np.conj(u[:0:-1])
+        u = _durbin(t)
+        self.u0 = u0 = float(u[0].real)
         self._u = u
-        self._v = v
-        self._U = np.fft.fft(u, 2 * P)
-        self._V = np.fft.fft(v, 2 * P)
+        self._v = v = _reflect(u)
+        self._D = D = _skew(P)
+        # S(u)^H, S(v - u0 e0)^H and C(u), C(v + u0 e0) / (2 u0) on the transform grid
+        u0e0 = np.zeros(P)
+        u0e0[0] = u0
+        self._Su = np.conj(np.fft.fft(D * u))
+        self._Sv = np.conj(np.fft.fft(D * (v - u0e0)))
+        self._Cu = np.fft.fft(u) / (2 * u0)
+        self._Cv = np.fft.fft(v + u0e0) / (2 * u0)
 
     def solve(self, Y):
         """T^{-1} Y for a length-P vector or a (P, M) block."""
-        P, n = self.P, 2 * self.P
-        Yf = np.fft.fft(_rows(Y), n)
-        # L(a)^H Y is a correlation with a; the part past P wraps into zeros
-        a = np.fft.ifft(np.conj(self._U) * Yf)[..., :P]
-        b = np.fft.ifft(np.conj(self._V) * Yf)[..., :P]
-        Z = np.fft.ifft(self._U * np.fft.fft(a, n) - self._V * np.fft.fft(b, n))[..., :P]
-        return Z.T / self.u0
+        Yf = np.fft.fft(_rows(Y) * self._D)
+        Dc = np.conj(self._D)
+        a = np.fft.ifft(self._Su * Yf)
+        a *= Dc
+        b = np.fft.ifft(self._Sv * Yf)
+        b *= Dc
+        Z = np.fft.fft(a)
+        Z *= self._Cu
+        B = np.fft.fft(b)
+        B *= self._Cv
+        Z -= B
+        return np.fft.ifft(Z).T
 
     def trace(self):
         """tr(T^{-1}) in O(P): the diagonal of L(a) L(a)^H sums to sum_j (P - j) |a_j|^2."""

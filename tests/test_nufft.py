@@ -49,8 +49,8 @@ def test_transform_matches_direct_sum(Q, N, M, special, scale, panels, seed):
     c = (rng.standard_normal((Q, M)) + 1j * rng.standard_normal((Q, M))) * 10.0 ** rng.uniform(-3, 3, (Q, 1))
     transform = Type1(nodes, N)
     f = transform(c)
-    assert f.shape == (N, M)
-    error = np.max(np.abs(f - transform.dense(c)), axis=0)
+    assert f.shape == (M, N)
+    error = np.max(np.abs(f - transform.dense(c)), axis=1)
     assert np.all(error <= TOL * np.sum(np.abs(c), axis=0))
 
 
@@ -65,7 +65,7 @@ def test_direct_branch_is_the_phase_product():
     rng = np.random.default_rng(7)
     nodes, c = rng.uniform(-0.5, 0.5, 40), rng.standard_normal((40, 3)) + 0j
     phases = np.exp(2j * np.pi * np.outer(np.arange(300), nodes))
-    assert np.array_equal(Type1(nodes, 300)(c), phases @ c)
+    assert np.array_equal(Type1(nodes, 300)(c), (phases @ c).T)
 
 
 def test_rejects_bad_shapes():

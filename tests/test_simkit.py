@@ -300,7 +300,7 @@ def time_domain_draw(model, rng, M, dl_lag):
         coeff = np.sqrt(model.lam)[:, None] * fading.complex_normal(rng, (model.P, M))
         dl_phase = np.exp(2j * np.pi * np.arange(model.P) * (model.P - 1 + dl_lag) / model.P)
         return math.sqrt(model.P) * np.fft.ifft(coeff, axis=0), dl_phase @ coeff / math.sqrt(model.P)
-    block = model.synthesis(model.amp[:, None] * fading.complex_normal(rng, (model.amp.size, M)))
+    block = model.synthesis(model.amp[:, None] * fading.complex_normal(rng, (model.amp.size, M))).T
     return block[: model.P], block[-1]
 
 

@@ -1,8 +1,8 @@
-"""The structured Toeplitz solver against the dense oracle on random scenes."""
+"""The structured Toeplitz product and solver against the dense oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from psdalign import estimation, pilots
@@ -58,6 +58,51 @@ def test_structured_matches_dense_oracle(scene, M, seed):
     assert rel_err(HermitianToeplitz(column).matvec(Y), toeplitz(column) @ Y) <= REL_TOL
 
 
+def pd_column(P, kind, rng):
+    """A positive definite Hermitian Toeplitz column: a sample autocorrelation plus a ridge."""
+    x = rng.standard_normal(2 * P) + (1j * rng.standard_normal(2 * P) if kind == "complex" else 0.0)
+    column = np.array([np.vdot(x[k:], x[: 2 * P - k]) for k in range(P)]) / (2 * P)
+    column[0] += 0.1
+    return column.real if kind == "real" else column
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """The length of every transform taken while the test runs, in call order."""
+    lengths = []
+
+    def recording(transform):
+        def recorded(a, n=None, axis=-1, *args, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return transform(a, n, axis, *args, **kwargs)
+
+        return recorded
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    return lengths
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 8, 97, 128, 255])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("block", [False, True])
+def test_length_p_transforms_match_dense(P, kind, block, fft_lengths):
+    rng = np.random.default_rng(P)
+    column = pd_column(P, kind, rng)
+    A = toeplitz(column)
+    Y = rng.standard_normal((P, 3) if block else P) + 1j * rng.standard_normal((P, 3) if block else P)
+    inverse, T = ToeplitzInverse(column), HermitianToeplitz(column)
+    built = len(fft_lengths)
+    assert rel_err(inverse.solve(Y), cho_solve(cho_factor(A, lower=True), Y)) <= REL_TOL
+    assert len(fft_lengths) - built == 6
+    assert rel_err(T.matvec(Y), A @ Y) <= REL_TOL
+    assert len(fft_lengths) - built == 10
+    dense_trace = np.trace(np.linalg.inv(A)).real
+    assert abs(inverse.trace() - dense_trace) <= REL_TOL * dense_trace
+    # no circulant embedding: every transform, set-up included, is of length P
+    assert set(fft_lengths) == {P}
+
+
 def test_vectors_and_blocks_agree():
     column = np.array([3.0, 1.0 - 0.5j, 0.25j, 0.1])
     Y = np.arange(8.0).reshape(4, 2) + 1j
@@ -68,6 +113,33 @@ def test_vectors_and_blocks_agree():
 
 
 def test_indefinite_matrix_rejected():
-    # eigenvalues -1 and 3: the inverse's first column starts with -1/3
-    with pytest.raises(np.linalg.LinAlgError):
-        ToeplitzInverse([1.0, 2.0])
+    for column in (
+        # eigenvalues -1 and 3: the inverse's first column starts with -1/3
+        [1.0, 2.0],
+        # eigenvalues -0.8, 1, 1, 2.8, yet the inverse's first column starts with +0.277
+        [1.0, 0.9, 0.0, 0.9],
+        [0.0],
+        [-1.0, 0.0],
+        [np.nan, 0.0],
+    ):
+        with pytest.raises(np.linalg.LinAlgError):
+            ToeplitzInverse(column)
+
+
+@given(
+    st.integers(1, 12),
+    st.floats(-0.5, 3.0),
+    st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
+)
+@settings(max_examples=200, deadline=None)
+def test_rejected_exactly_when_not_positive_definite(P, t0, tail):
+    column = np.array([t0, *tail[: P - 1]], dtype=complex)
+    eigenvalues = np.linalg.eigvalsh(toeplitz(column))
+    # near-singular draws could fall either way in floating point
+    assume(abs(eigenvalues[0]) > 1e-6 * max(1.0, np.max(np.abs(eigenvalues))))
+    if eigenvalues[0] > 0:
+        inverse = ToeplitzInverse(column)
+        assert inverse.u0 == pytest.approx(np.linalg.inv(toeplitz(column))[0, 0].real, rel=1e-6)
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            ToeplitzInverse(column)
