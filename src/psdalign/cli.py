@@ -80,7 +80,7 @@ def _cmd_plan(config, out_dir):
             print(f"width deficit: {exc.width_deficit:.6f} cycles", file=sys.stderr)
         return EXIT_FAIL
     sup = plan.supports()
-    print(f"alignment plan: {plan.K} users, P={plan.P}, guard={plan.guard:g}")
+    print(f"alignment plan: {plan.K} users, P={plan.P}")
     print(f"{'user':>4} {'F':>10} {'shift':>12} {'tau/P':>10} {'support':>24} {'gap_next':>10}")
     for k in range(plan.K):
         lo, hi = sup[k]

@@ -91,8 +91,9 @@ class ExperimentConfig:
             raise ValueError(f"perfect_csi must be true or false, got {self.perfect_csi!r}")
         if self.scheme not in ("psd_align", "hadamard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "hadamard" and self.users & (self.users - 1):
-            raise ValueError(f"Hadamard pilots need a power-of-2 user count, got {self.users}")
+        # one Hadamard user would sound a one-slot window, shorter than build_covariance takes
+        if self.scheme == "hadamard" and (self.users < 2 or self.users & (self.users - 1)):
+            raise ValueError(f"Hadamard pilots need a power-of-2 user count of 2 or more, got {self.users}")
         if self.channel_model not in ("circulant", "exact"):
             raise ValueError(f"unknown channel model {self.channel_model!r}")
         if self.max_doppler > 0.5:

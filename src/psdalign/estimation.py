@@ -69,15 +69,13 @@ class UplinkScene:
 def observation_matrix(P, noise_var, terms):
     """noise_var * I plus power * Diag(x) R Diag(x)^H for each (power, R, x) term.
 
-    A term with x = None adds power * R unmodulated. Terms are consumed one at
-    a time, so a generator keeps only one P x P covariance alive besides the sum.
+    A term with x = None adds power * R unmodulated.
     """
     A = noise_var * np.eye(P, dtype=complex)
     for power, R, x in terms:
         if x is not None:
             R = R * np.outer(x, np.conj(x))
-        # at unit power, skip a P x P temporary that would only copy R
-        A += R if power == 1.0 else power * R
+        A += power * R
     return A
 
 

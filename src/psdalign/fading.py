@@ -156,7 +156,8 @@ class DopplerSpectrum:
         """PSD samples on the P-point grid (the large-P eigenvalue picture).
 
         Bins hit exactly by a singular bathtub edge get the bin-averaged mass
-        instead of the (infinite) pointwise value.
+        instead of the (infinite) pointwise value: P times the arcsine mass
+        (power/pi)(arcsin(b/F) - arcsin(a/F)) of the bin [a, b] clipped to the band.
         """
         xi = grid_frequencies(P)
         if self.kind == "clarke":
@@ -164,26 +165,13 @@ class DopplerSpectrum:
             lam = np.zeros(P)
             inside = np.abs(xi) < F
             lam[inside] = self.power / (np.pi * np.sqrt(F**2 - xi[inside] ** 2))
-            edge = np.abs(np.abs(xi) - F) < 1e-15
-            if edge.any():
-                for i in np.nonzero(edge)[0]:
-                    lam[i] = P * self.band_mass(xi[i] - 0.5 / P, xi[i] + 0.5 / P)
+            for i in np.flatnonzero(np.abs(np.abs(xi) - F) < 1e-15):
+                a = np.clip(xi[i] - 0.5 / P, -F, F)
+                b = np.clip(xi[i] + 0.5 / P, -F, F)
+                lam[i] = P * (self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi)
             return lam
         lo, hi = self.band
         return np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
-
-    def band_mass(self, a, b):
-        """Integral of the PSD over [a, b] (closed-form per kind)."""
-        if self.kind == "clarke":
-            F = self.max_doppler
-            a = np.clip(a, -F, F)
-            b = np.clip(b, -F, F)
-            if b <= a:
-                return 0.0
-            return self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi
-        lo, hi = self.band
-        width = max(0.0, min(b, hi) - max(a, lo))
-        return self.power * width / (hi - lo)
 
     def synthesis_nodes(self, max_lag):
         """Quadrature of the spectral measure: frequencies and amplitudes.

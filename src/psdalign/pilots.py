@@ -31,15 +31,9 @@ class PlanInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class PilotSequence:
-    """Length-P unit-modulus pilot sequence.
-
-    `shift` is the cyclic shift in slots for exponential-ramp pilots (may be
-    fractional: practical staggered shift grids are generally not integers), None
-    for other constructions.
-    """
+    """Length-P unit-modulus pilot sequence."""
 
     values: np.ndarray
-    shift: float | None = None
 
     def __post_init__(self):
         dev = np.max(np.abs(np.abs(self.values) - 1.0))
@@ -57,14 +51,15 @@ def fft_pilot(shift, P):
     Parameters
     ----------
     shift : float
-        Cyclic shift in slots, 0 <= shift < P.
+        Cyclic shift in slots, 0 <= shift < P; may be fractional, as staggered
+        shift grids generally are.
     P : int
         Sequence length.
     """
     if not 0 <= shift < P:
         raise ValueError(f"shift must satisfy 0 <= shift < P, got {shift}")
     n = np.arange(P)
-    return PilotSequence(values=np.exp(2j * np.pi * shift * n / P), shift=float(shift))
+    return PilotSequence(values=np.exp(2j * np.pi * shift * n / P))
 
 
 def hadamard_pilots(K):
@@ -249,17 +244,15 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
 class AlignmentPlan:
     """Per-user cyclic shifts placing Doppler supports apart on the circle.
 
-    Shifts are in slots (fractional allowed), supports in cycles. `guard` is
-    the minimum pairwise gap (cycles) the plan promises between user supports;
-    supports must additionally be strictly disjoint from each other and from
-    every forbidden band.
+    Shifts are in slots (fractional allowed), supports in cycles. User
+    supports may touch but not overlap; every support must be strictly
+    disjoint from every forbidden band.
     """
 
     dopplers: tuple
     shifts: tuple
     P: int
     forbidden: tuple = ()
-    guard: float = 0.0
 
     @property
     def K(self):
@@ -286,10 +279,9 @@ class AlignmentPlan:
         sup = np.array(self.supports(), dtype=float).reshape(-1, 2)
         lo, hi = sup[:, :1], sup[:, 1:]
         gaps = _gaps(lo, hi, sup[:, 0], sup[:, 1])
-        # interior overlap always fails; touching passes only at guard 0
-        short = (gaps < max(self.guard, 0.0) - 1e-15) | (gaps < -1e-15)
-        for k, g in zip(*np.nonzero(np.triu(short, 1))):
-            problems.append(f"users {k},{g}: support gap {gaps[k, g]:.3e} below guard {self.guard:.3e}")
+        # touching passes, to the rounding of the gap; interior overlap fails
+        for k, g in zip(*np.nonzero(np.triu(gaps < -1e-15, 1))):
+            problems.append(f"users {k},{g}: supports overlap (gap {gaps[k, g]:.3e})")
         bands = np.array(self.forbidden, dtype=float).reshape(-1, 2)
         hits = _gaps(lo, hi, bands[:, 0], bands[:, 1]) <= 0.0
         for k, b in zip(*np.nonzero(hits)):
@@ -317,7 +309,6 @@ class AlignmentPlan:
     def to_dict(self):
         return {
             "P": self.P,
-            "guard": self.guard,
             "dopplers": list(self.dopplers),
             "shifts": list(self.shifts),
             "forbidden": [list(b) for b in self.forbidden],
@@ -330,7 +321,6 @@ class AlignmentPlan:
             shifts=tuple(d["shifts"]),
             P=int(d["P"]),
             forbidden=tuple(tuple(b) for b in d.get("forbidden", ())),
-            guard=float(d.get("guard", 0.0)),
         )
 
 
@@ -351,13 +341,12 @@ def _gaps(lo_a, hi_a, lo_b, hi_b):
     return np.where(width_a + width_b >= 1.0, -1.0, np.minimum(fwd, bwd))
 
 
-def uniform_capacity(max_doppler, guard=0.0):
-    """How many equal-Doppler users fit on the circle: floor(1/(2F + guard))."""
-    width = 2.0 * max_doppler + guard
-    return int(math.floor(1.0 / width)) if width > 0 else 0
+def uniform_capacity(max_doppler):
+    """How many equal-Doppler users fit on the circle: floor(1/(2F))."""
+    return int(math.floor(1.0 / (2.0 * max_doppler))) if max_doppler > 0 else 0
 
 
-def plan_alignment(dopplers, forbidden, P, guard=0.0):
+def plan_alignment(dopplers, forbidden, P):
     """Pack user Doppler supports onto the frequency circle.
 
     Users are placed in increasing-Doppler order by first fit, preferring
@@ -382,9 +371,9 @@ def plan_alignment(dopplers, forbidden, P, guard=0.0):
             raise ValueError(f"forbidden band [{lo}, {hi}] is empty")
     K = len(dopplers)
     if K == 0:
-        return AlignmentPlan(dopplers=(), shifts=(), P=P, forbidden=forbidden, guard=guard)
+        return AlignmentPlan(dopplers=(), shifts=(), P=P, forbidden=forbidden)
 
-    demanded = sum(2 * F for F in dopplers) + K * guard
+    demanded = sum(2 * F for F in dopplers)
     available = 1.0 - sum(hi - lo for lo, hi in forbidden)
     if demanded > available + 1e-12:
         raise PlanInfeasibleError(
@@ -395,69 +384,63 @@ def plan_alignment(dopplers, forbidden, P, guard=0.0):
     uniform = len(set(dopplers)) == 1 and not forbidden
     if uniform:
         F = dopplers[0]
-        spacing = math.ceil(2 * F * P + guard * P)
-        if spacing <= 2 * F * P + guard * P:
+        spacing = math.ceil(2 * F * P)
+        if spacing <= 2 * F * P:
             spacing += 1  # strict disjointness when 2FP lands on an integer
         if K * spacing <= P:
             shifts = tuple(float(k * spacing) for k in range(K))
         else:
             shifts = tuple(k * P / K for k in range(K))
-        return AlignmentPlan(
-            dopplers=tuple(dopplers), shifts=shifts, P=P, forbidden=forbidden, guard=guard
-        )
+        return AlignmentPlan(dopplers=tuple(dopplers), shifts=shifts, P=P, forbidden=forbidden)
 
     order = sorted(range(K), key=lambda k: dopplers[k])
     placed = []  # (lo, hi) occupied support intervals in cycles
     shifts = [None] * K
     for k in order:
         F = dopplers[k]
-        tau = _first_fit(F, placed, forbidden, P, guard)
+        tau = _first_fit(F, placed, forbidden, P)
         if tau is None:
             raise PlanInfeasibleError(
-                f"no feasible shift for user {k} (F={F}); "
-                f"free width insufficient at guard {guard}",
-                width_deficit=2 * F + guard,
+                f"no feasible shift for user {k} (F={F}); free width insufficient",
+                width_deficit=2 * F,
             )
         shifts[k] = tau
         center = tau / P
         placed.append((center - F, center + F))
-    return AlignmentPlan(
-        dopplers=tuple(dopplers), shifts=tuple(shifts), P=P, forbidden=forbidden, guard=guard
-    )
+    return AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P, forbidden=forbidden)
 
 
-def _first_fit(F, placed, forbidden, P, guard):
+def _first_fit(F, placed, forbidden, P):
     """Earliest shift whose support clears every placed support and band.
 
     Integer shifts come first. The earliest clear integer is 0 or the first
-    integer past the end of some blocked arc (a placed support widened by the
-    user's half-width and the guard, or a band widened by the half-width), so
-    only those candidates are tested, +-1 for rounding at the arc ends. When
-    no integer clears, the support goes to the earliest clear position just
-    past a blocking interval's end.
+    integer past the end of some blocked arc (a placed support or a band,
+    widened by the user's half-width), so only those candidates are tested,
+    +-1 for rounding at the arc ends. When no integer clears, the support goes
+    to the earliest clear position just past a blocking interval's end.
     """
     if not placed and not forbidden:
         return 0.0
     blockers = np.array(list(placed) + list(forbidden), dtype=float)
-    ends = blockers[:, 1].copy()
-    ends[: len(placed)] += guard
-    edge = np.ceil(((ends + F) % 1.0) * P)
+    # where the user's support would start, just past each blocking arc
+    start = (blockers[:, 1] + F) % 1.0
+    edge = np.ceil(start * P)
     integers = np.unique(np.append((edge[:, None] + [-1.0, 0.0, 1.0]) % P, 0.0))
-    fractional = np.sort(((blockers[:, 1] + guard + F) % 1.0 * P) % P)
+    fractional = np.sort((start * P) % P)
     # first clear shift in order: the integers, then the fractional fallback
     taus = np.concatenate((integers, fractional))
-    clear = _clears(taus, F, blockers, len(placed), P, guard)
+    clear = _clears(taus, F, blockers, len(placed), P)
     return float(taus[clear.argmax()]) if clear.any() else None
 
 
-def _clears(taus, F, blockers, n_placed, P, guard):
+def _clears(taus, F, blockers, n_placed, P):
     """Which shifts put [tau/P - F, tau/P + F] clear of every blocking arc.
 
-    The first `n_placed` blockers are placed supports, which need a gap of at
-    least the guard; the rest are forbidden bands, which the support must not
-    touch.
+    The first `n_placed` blockers are placed supports, which need a gap of
+    1e-15 at least (a rounding margin past touching); the rest are forbidden
+    bands, which the support must not touch.
     """
     center = taus[:, None] / P
     gap = _gaps(center - F, center + F, blockers[:, 0], blockers[:, 1])
-    placed_clear = (gap[:, :n_placed] >= max(guard, 1e-15)).all(axis=1)
+    placed_clear = (gap[:, :n_placed] >= 1e-15).all(axis=1)
     return placed_clear & (gap[:, n_placed:] > 0.0).all(axis=1)

@@ -11,11 +11,14 @@ or as the P x P matrix, for the observation covariance. Users share one model
 on the Clarke spectrum; contamination is a second instance of the same class
 on the flat-band spectrum.
 
-With exponential-ramp (PSD-aligned) pilots the observation covariance is
-Hermitian Toeplitz, and trials solve with its inverse written through
-circulant and skew-circulant factors (`psdalign.toeplitz`): no P x P array is
-formed, and every transform has length P. Other pilots (Hadamard) factor the
-dense matrix by Cholesky.
+The configured scheme alone picks the window, the pilots and the solver
+(`_setup`). The PSD-aligned scheme sends cyclic-shift (exponential-ramp)
+pilots at the per-user shifts of `user_shifts`, in slots, so the observation
+covariance is Hermitian Toeplitz, and trials solve with its inverse written
+through circulant and skew-circulant factors (`psdalign.toeplitz`): no P x P
+array is formed, and every transform has length P. The Hadamard scheme sends
+the rows of a Hadamard matrix over a window of one slot per user and factors
+the dense matrix by Cholesky.
 
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
@@ -81,33 +84,33 @@ class RunResult:
     trial_seeds: tuple
 
 
-def user_shift_cycles(config, P):
-    """Per-user cyclic shifts as fractions of the window (tau_k / P)."""
-    if config.scheme == "hadamard":
-        return None
-    if isinstance(config.shifts, str):
-        if config.shifts == "preset":
-            grid = [PRESET_SHIFT_GRID[k % 8] + (k // 8) / 36.0 for k in range(config.users)]
-            return tuple(g % 1.0 for g in grid)
+def user_shifts(config, P):
+    """Per-user cyclic shifts of the PSD-aligned scheme, in slots in [0, P).
+
+    `auto` takes the planner's shifts as they are; `preset` and an explicit
+    list give fractions of the window, taken modulo 1.
+    """
+    if config.shifts == "auto":
         bands = [config.contamination_band] if config.contamination_band else []
-        plan = pilots.plan_alignment([config.max_doppler] * config.users, bands, P, guard=0.0)
-        return tuple(s / P for s in plan.shifts)
-    return tuple(float(s) % 1.0 for s in config.shifts)
+        return pilots.plan_alignment([config.max_doppler] * config.users, bands, P).shifts
+    if config.shifts == "preset":
+        cycles = [PRESET_SHIFT_GRID[k % 8] + (k // 8) / 36.0 for k in range(config.users)]
+    else:
+        cycles = config.shifts
+    return tuple((float(c) % 1.0 * P) % P for c in cycles)
 
 
 def alignment_plan(config, P=None):
     """The alignment plan implied by the configuration (PSD-aligned scheme)."""
-    P = P or config.observation_length
-    cycles = user_shift_cycles(config, P)
-    if cycles is None:
+    if config.scheme == "hadamard":
         raise ValueError("the conventional scheme has no alignment plan")
+    P = P or config.observation_length
     bands = (config.contamination_band,) if config.contamination_band else ()
     plan = pilots.AlignmentPlan(
         dopplers=(config.max_doppler,) * config.users,
-        shifts=tuple(c * P for c in cycles),
+        shifts=user_shifts(config, P),
         P=P,
         forbidden=bands,
-        guard=0.0,
     )
     problems = plan.validate()
     if problems:
@@ -251,54 +254,48 @@ def _contamination_spectrum(config):
     return DopplerSpectrum.flat_band(lo, hi, power=config.contamination_power)
 
 
-def _observation_terms(s, part):
-    """The (power, covariance, pilot) terms of E[y y^H].
-
-    `part` names the model method giving each covariance: "column" for
-    estimation.observation_column, "covariance" for observation_matrix.
-    """
-    R = getattr(s.user, part)()
-    for x in s.pilot_matrix:
-        yield s.rho, R, x
-    del R  # so that a circulant model holds one P x P covariance at a time
-    if s.cont is not None:
-        yield 1.0, getattr(s.cont, part)(), None  # its power is part of its spectrum
-
-
-def _ramp_pilots(sequences):
-    """Whether every pilot is an exponential ramp (a cyclic-shift pilot).
-
-    Then E[y y^H] is Hermitian Toeplitz and its first column determines it.
-    """
-    return all(p.shift is not None for p in sequences)
-
-
-def _setup(config, P):
-    """Precompute everything shared by all trials of one (scheme, P) run."""
-    if config.scheme == "hadamard":
-        P = config.users
-        sequences = pilots.hadamard_pilots(P)
-    else:
-        sequences = [pilots.fft_pilot((c * P) % P, P) for c in user_shift_cycles(config, P)]
+def _scene(config, P, pilot_matrix):
+    """The powers, the (K, P) pilots and the channel models of one run."""
     model = _MODELS[config.channel_model]
     cont = _contamination_spectrum(config)
     s = SimpleNamespace(P=P, K=config.users, M=config.antennas, perfect_csi=config.perfect_csi)
-    s.rho = s.rho_dl = config.user_power
-    s.sigma2 = config.noise_var
-    s.sigma2_dl = s.sigma2 if config.dl_snr_db is None else s.rho_dl / 10.0 ** (config.dl_snr_db / 10.0)
-    s.pilot_matrix = np.stack([p.values for p in sequences])  # (K, P)
+    s.rho, s.sigma2 = config.user_power, config.noise_var
+    s.sigma2_dl = s.sigma2 if config.dl_snr_db is None else s.rho / 10.0 ** (config.dl_snr_db / 10.0)
+    s.pilot_matrix = pilot_matrix
     # what a trial sends, sqrt(rho) x_k, and its estimator weights, sqrt(rho) conj(x_k)
-    s.tx = math.sqrt(s.rho) * s.pilot_matrix
+    s.tx = math.sqrt(s.rho) * pilot_matrix
     s.weights = np.conj(s.tx)
     s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag)
     s.cont = None if cont is None else model(cont, P)
-    if _ramp_pilots(sequences):
-        column = estimation.observation_column(P, s.sigma2, _observation_terms(s, "column"))
-        s.solve = ToeplitzInverse(column).solve
-    else:
-        A = estimation.observation_matrix(P, s.sigma2, _observation_terms(s, "covariance"))
-        factor = cho_factor(A, lower=True)
+    return s
+
+
+def _setup(config, P):
+    """Precompute everything shared by all trials of one (scheme, P) run.
+
+    The scheme alone picks the window length, the pilots and the solver.
+    Cyclic-shift pilots are exponential ramps, so E[y y^H] is Hermitian
+    Toeplitz and its first column determines it. Hadamard pilots take a window
+    of one slot per user and factor the dense matrix by Cholesky. Each builder
+    takes a (power, covariance, pilot) term per user, then the contamination's
+    unmodulated term, whose power is part of its spectrum.
+    """
+    if config.scheme == "hadamard":
+        P = config.users
+        s = _scene(config, P, np.stack([p.values for p in pilots.hadamard_pilots(P)]))
+        R = s.user.covariance()
+        terms = [(s.rho, R, x) for x in s.pilot_matrix]
+        if s.cont is not None:
+            terms.append((1.0, s.cont.covariance(), None))
+        factor = cho_factor(estimation.observation_matrix(P, s.sigma2, terms), lower=True)
         s.solve = lambda y: cho_solve(factor, y)
+    else:
+        s = _scene(config, P, np.stack([pilots.fft_pilot(tau, P).values for tau in user_shifts(config, P)]))
+        r = s.user.column()
+        terms = [(s.rho, r, x) for x in s.pilot_matrix]
+        if s.cont is not None:
+            terms.append((1.0, s.cont.column(), None))
+        s.solve = ToeplitzInverse(estimation.observation_column(P, s.sigma2, terms)).solve
     s.nmse_model = s.user.mse(s.rho, s.sigma2)
     snr = s.rho / s.sigma2
     s.nmse_analytic = estimation.small_alpha_mse(config.max_doppler, snr)
@@ -342,14 +339,6 @@ def _sound(s, rng):
     return nmse, rx_power, truths, estimates
 
 
-def _trial(s, rng, include_dl):
-    nmse, rx_power, truths, estimates = _sound(s, rng)
-    out = {"nmse": nmse, "rx_power": rx_power}
-    if include_dl:
-        out["se"] = _matched_filter_se(s, truths, estimates)
-    return out
-
-
 def _matched_filter_se(s, truths, estimates):
     """Per-user downlink SE of matched-filter beams steered by the (K, M) estimates.
 
@@ -361,8 +350,9 @@ def _matched_filter_se(s, truths, estimates):
         log.warning("zero-norm estimate for user %d; skipping its beam", k)
     active = norms != 0.0
     beams = estimates[active] / norms[active, None]
-    # gain[k, g] = rho_dl |h_k^H w_g|^2 between the active users
-    gain = s.rho_dl * np.abs(np.conj(truths[active]) @ beams.T) ** 2
+    # gain[k, g] = rho |h_k^H w_g|^2 between the active users: the downlink
+    # sends at the users' uplink power
+    gain = s.rho * np.abs(np.conj(truths[active]) @ beams.T) ** 2
     signal = np.diag(gain)
     interference = (gain - np.diag(signal)).sum(axis=1)
     se = np.zeros(s.K)
@@ -395,15 +385,17 @@ def run_experiment(config, P=None, include_dl=True):
     seeds = [(config.seed, scheme_tag, s.P, t) for t in range(config.trials)]
 
     def one(t):
-        return _trial(s, np.random.default_rng(list(seeds[t])), include_dl)
+        nmse, rx_power, truths, estimates = _sound(s, np.random.default_rng(list(seeds[t])))
+        return nmse, rx_power, _matched_filter_se(s, truths, estimates) if include_dl else None
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outs = list(pool.map(one, range(config.trials)))
     else:
         outs = [one(t) for t in range(config.trials)]
+    nmse_outs, rx_outs, se_outs = zip(*outs)
 
-    nmse_trials = np.stack([o["nmse"] for o in outs])
+    nmse_trials = np.stack(nmse_outs)
     snr = s.rho / s.sigma2
     gain_trials = (1.0 / nmse_trials - 1.0) / snr
     gain_mean = gain_trials.mean(axis=0)
@@ -420,7 +412,7 @@ def run_experiment(config, P=None, include_dl=True):
 
     dl_per_user = dl_se_sum = dl_se_hw = None
     if include_dl:
-        se_trials = np.stack([o["se"] for o in outs])
+        se_trials = np.stack(se_outs)
         se_sum_trials = se_trials.sum(axis=1)
         dl_per_user = tuple(se_trials.mean(axis=0).tolist())
         dl_se_sum = float(se_sum_trials.mean())
@@ -439,7 +431,7 @@ def run_experiment(config, P=None, include_dl=True):
         dl_se_per_user=dl_per_user,
         dl_se_sum=dl_se_sum,
         dl_se_halfwidth=dl_se_hw,
-        rx_power_per_antenna=float(np.mean([o["rx_power"] for o in outs])),
+        rx_power_per_antenna=float(np.mean(rx_outs)),
         trial_seeds=tuple(seeds),
     )
 
@@ -469,7 +461,8 @@ def user_reports(config, result=None, P=None):
     snr = rho / sigma2
     spectrum = DopplerSpectrum.clarke(F)
     lam = spectrum.sample_eigenvalues(P)
-    cycles = user_shift_cycles(config, P) or (0.0,) * config.users
+    shifts = user_shifts(config, P) if config.scheme == "psd_align" else (0.0,) * config.users
+    cycles = [tau / P for tau in shifts]
     cont = _contamination_spectrum(config)
     alpha = math.pi * F / snr
     reports = []

@@ -156,6 +156,8 @@ class TestCli:
             "zero_doppler": {"users": {"doppler_hz": 0}},
             "negative_dl_lag": {"run": {"dl_lag": -3}},
             "hadamard_user_count_not_power_of_two": {"users": {"count": 3}},
+            # the Hadamard baseline of one user would have a one-slot window
+            "hadamard_single_user": {"users": {"count": 1}},
             "negative_tolerance_scale": {"run": {"tolerance_scale": -2}},
             "nan_tolerance_scale": {"run": {"tolerance_scale": float("nan")}},
         }

@@ -86,6 +86,48 @@ def test_scanner_reads_relative_and_absolute_imports(tmp_path):
     assert psdalign_imports(source) == {"estimation", "pilots", "config", "simkit", "cli"}
 
 
+def unused_imports(path):
+    """Names one source file imports and never reads, except those marked `# noqa: F401`."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[node.lineno - 1] + lines[alias.lineno - 1]:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+    # an attribute chain such as np.fft.fft starts at the Name np
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", sorted(set(IMPORTS) - {"__init__"}))
+def test_every_import_is_used(module):
+    # a name kept only so that the benchmark tracer can patch it is still
+    # unused here; mark it `# noqa: F401` with the reason
+    assert unused_imports(PACKAGE / f"{module}.py") == []
+
+
+def test_unused_import_scanner(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import os.path\n"
+        "import numpy as np\n"
+        "from scipy.linalg import cho_factor, cho_solve, circulant\n"
+        "from .config import ExperimentConfig  # noqa: F401  (re-exported)\n"
+        "from .fading import (\n"
+        "    build_covariance,  # noqa: F401  (patched by the tracer)\n"
+        "    complex_normal,\n"
+        ")\n"
+        "x = np.zeros(1)\n"
+        "join = os.path.join\n"
+        "def solve(a):\n"
+        "    return cho_solve(a, a)\n"
+    )
+    assert unused_imports(source) == ["cho_factor", "circulant", "complex_normal"]
+
+
 def load_tracer():
     """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")

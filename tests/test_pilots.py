@@ -233,14 +233,16 @@ class TestPlanAlignment:
             shifts=tuple(P * (3 / 8 + (k + 1) / 36) for k in range(8)),
             P=P,
             forbidden=((-3 / 8, 3 / 8),),
-            guard=1 / P,
         )
         assert plan.is_valid()
         assert plan.pairwise_orthogonal()
+        # neighbouring supports, in shift order around the circle, stay a slot apart
+        sup = np.array(sorted(plan.supports()))
+        gaps = pilots._gaps(sup[:, 0], sup[:, 1], np.roll(sup[:, 0], -1), np.roll(sup[:, 1], -1))
+        assert (gaps >= 1 / P).all()
 
     def test_capacity_formula(self):
         assert uniform_capacity(0.002) == 250
-        assert uniform_capacity(0.002, guard=1 / 4096) == 235
 
     def test_tight_packing_beyond_integer_ladder(self):
         plan = plan_alignment([0.002] * 249, [], 4096)
@@ -270,9 +272,8 @@ class TestPlanAlignment:
         K = data.draw(st.integers(1, 6))
         dopplers = [data.draw(st.floats(0.001, 0.02)) for _ in range(K)]
         bands = data.draw(st.lists(band_strategy(0.3), max_size=2))
-        guard = data.draw(st.sampled_from([0.0, 1 / 512, 1e-3]))
         try:
-            plan = plan_alignment(dopplers, bands, 512, guard)
+            plan = plan_alignment(dopplers, bands, 512)
         except PlanInfeasibleError:
             return
         assert plan.is_valid()
@@ -305,14 +306,14 @@ def circular_gap(int_a, int_b):
     return min(fwd, bwd)
 
 
-def scan_first_fit(F, placed, forbidden, P, guard):
+def scan_first_fit(F, placed, forbidden, P):
     """The integer-scan first fit that the candidate-arc planner replaced (oracle)."""
 
     def feasible(tau):
         center = tau / P
         sup = (center - F, center + F)
         for other in placed:
-            if circular_gap(sup, other) < max(guard, 1e-15):
+            if circular_gap(sup, other) < 1e-15:
                 return False
         for band in forbidden:
             if circular_gap(sup, band) <= 0.0:
@@ -326,7 +327,7 @@ def scan_first_fit(F, placed, forbidden, P, guard):
             return float(tau)
     candidates = []
     for lo, hi in list(placed) + list(forbidden):
-        start = (hi + guard + F) % 1.0
+        start = (hi + F) % 1.0
         candidates.append((start * P) % P)
     for tau in sorted(candidates):
         if 0 <= tau < P and feasible(tau):
@@ -334,10 +335,10 @@ def scan_first_fit(F, placed, forbidden, P, guard):
     return None
 
 
-def plan_outcome(dopplers, bands, P, guard):
+def plan_outcome(dopplers, bands, P):
     """Shift tuple of the plan, or the infeasibility it raised."""
     try:
-        return plan_alignment(dopplers, bands, P, guard).shifts
+        return plan_alignment(dopplers, bands, P).shifts
     except PlanInfeasibleError as err:
         return ("infeasible", str(err), err.width_deficit)
 
@@ -377,36 +378,38 @@ class TestFirstFit:
         hi = data.draw(st.floats(5e-4, max(5e-4, min(0.05, 0.5 / K))))
         dopplers = data.draw(st.lists(st.floats(5e-4, hi), min_size=K, max_size=K))
         bands = data.draw(st.lists(band_strategy(0.4), max_size=3))
-        guard = data.draw(st.sampled_from([0.0, 1 / P, 1e-3]))
-        got = plan_outcome(dopplers, bands, P, guard)
+        got = plan_outcome(dopplers, bands, P)
         with mock.patch.object(pilots, "_first_fit", scan_first_fit):
-            expected = plan_outcome(dopplers, bands, P, guard)
+            expected = plan_outcome(dopplers, bands, P)
         assert got == expected
 
     @pytest.mark.parametrize(
-        "dopplers, bands, P, guard, shifts",
+        "dopplers, bands, P, shifts",
         [
-            # recorded from the integer scan; the last user takes the fractional fallback
+            # recorded from the integer scan; one user takes the fractional fallback
             (
-                [0.0382, 0.0334, 0.0365, 0.0302, 0.0171, 0.0419],
-                [(0.281, 0.674)],
+                [0.0461, 0.038, 0.0135, 0.0316, 0.0082, 0.0451, 0.0155, 0.0235],
+                [(0.45, 0.785), (-0.174, -0.104)],
                 50,
-                1 / 50,
-                (41.0, 9.0, 36.0, 4.0, 0.0, 46.005),
+                (47.105000000000004, 13.0, 2.0, 9.0, 0.0, 18.0, 4.0, 6.0),
             ),
             (
-                [0.0031, 0.0012, 0.0047, 0.002, 0.0025, 0.0038, 0.0015, 0.001, 0.0043, 0.0029, 0.0018, 0.0035],
-                [(-0.375, 0.375), (0.4, 0.45)],
-                4096,
-                1 / 4096,
-                (1882.0, 1552.0, 2015.0, 1597.0, 1617.0, 1942.0, 1565.0, 1541.0, 1977.0, 1856.0, 1580.0, 1911.0),
+                [0.0058, 0.0153, 0.014, 0.017, 0.0286, 0.0132, 0.0017, 0.0044, 0.0116, 0.0128, 0.0118, 0.0276, 0.0233,
+                 0.0108, 0.0078, 0.0113, 0.0219, 0.0106, 0.0094, 0.0115, 0.0116, 0.0325, 0.0229, 0.0019, 0.0012, 0.0207],
+                [(-0.228, -0.067), (0.15, 0.222)],
+                512,
+                (14.0, 213.0, 197.0, 230.0, 375.0, 183.0, 2.0, 8.0, 132.0, 169.0, 156.0, 346.0, 319.0,
+                 52.0, 21.0, 64.0, 272.0, 41.0, 30.0, 120.0, 144.0, 494.336, 295.0, 4.0, 0.0, 250.0),
             ),
         ],
     )
-    def test_pinned_mixed_doppler_plans(self, dopplers, bands, P, guard, shifts):
-        plan = plan_alignment(dopplers, bands, P, guard)
+    def test_pinned_mixed_doppler_plans(self, dopplers, bands, P, shifts):
+        plan = plan_alignment(dopplers, bands, P)
         assert plan.shifts == shifts
+        assert any(not tau.is_integer() for tau in plan.shifts)
         assert plan.is_valid()
+        with mock.patch.object(pilots, "_first_fit", scan_first_fit):
+            assert plan_alignment(dopplers, bands, P).shifts == shifts
 
     def test_plans_without_scanning_the_circle(self, monkeypatch):
         """First fit tests each user's candidate arcs in one call, not all P shifts."""
@@ -603,8 +606,8 @@ def loop_validate(plan):
     for k in range(plan.K):
         for g in range(k + 1, plan.K):
             gap_kg = circular_gap(sup[k], sup[g])
-            if gap_kg < max(plan.guard, 0.0) - 1e-15 or gap_kg < -1e-15:
-                problems.append(f"users {k},{g}: support gap {gap_kg:.3e} below guard {plan.guard:.3e}")
+            if gap_kg < -1e-15:
+                problems.append(f"users {k},{g}: supports overlap (gap {gap_kg:.3e})")
     for k in range(plan.K):
         for band in plan.forbidden:
             if circular_gap(sup[k], band) <= 0.0:
@@ -636,7 +639,6 @@ def plans(draw):
         shifts=tuple(shifts),
         P=P,
         forbidden=tuple(draw(st.lists(band_strategy(0.3), max_size=3))),
-        guard=draw(st.sampled_from([0.0, 1 / P, 1e-3])),
     )
 
 
@@ -692,12 +694,12 @@ class TestCircularGeometry:
         assert plan.validate() == loop_validate(plan)
 
     def test_validate_messages_on_a_crowded_plan(self):
-        # a planned 40-user set with every shift moved: overlaps, band hits and
-        # pairs below the guard, in the loop's order
+        # a planned 40-user set with every shift moved: overlaps and band hits,
+        # in the loop's order
         dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
-        planned = plan_alignment(dopplers, [(-0.375, 0.375)], 4096, guard=1 / 4096)
+        planned = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
         shifts = np.random.default_rng(6).uniform(0, 4096, 40).tolist()
-        plan = AlignmentPlan(planned.dopplers, tuple(shifts), 4096, planned.forbidden, planned.guard)
+        plan = AlignmentPlan(planned.dopplers, tuple(shifts), 4096, planned.forbidden)
         problems = plan.validate()
         assert any(p.startswith("users ") for p in problems)
         assert any("forbidden band" in p for p in problems)

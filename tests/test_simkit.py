@@ -17,7 +17,7 @@ from psdalign.simkit import (
     run_downlink,
     run_experiment,
     run_uplink,
-    user_shift_cycles,
+    user_shifts,
     write_aggregate_dat,
     write_dlse_csv,
     write_gain_csv,
@@ -74,9 +74,18 @@ class TestConfig:
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_preset_shift_grid(self):
-        cycles = user_shift_cycles(ExperimentConfig(), 4096)
-        assert cycles[0] == pytest.approx(3 / 8 + 1 / 36)
-        assert cycles[7] == pytest.approx(3 / 8 + 8 / 36)
+        shifts = user_shifts(ExperimentConfig(), 4096)
+        assert shifts[0] == pytest.approx(4096 * (3 / 8 + 1 / 36))
+        assert shifts[7] == pytest.approx(4096 * (3 / 8 + 8 / 36))
+
+    def test_auto_shifts_are_the_planner_shifts(self):
+        # slots -> cycles -> slots would turn the planner's 389.0 into 388.99999999999994
+        cfg = ExperimentConfig(shifts="auto", users=30, observation_length=777)
+        planned = pilots.plan_alignment([cfg.max_doppler] * 30, [cfg.contamination_band], 777).shifts
+        assert 389.0 in planned
+        assert simkit.alignment_plan(cfg).shifts == planned
+        pilot_matrix = simkit._setup(cfg, 777).pilot_matrix
+        assert np.array_equal(pilot_matrix, [pilots.fft_pilot(tau, 777).values for tau in planned])
 
 
 class TestDeterminism:
@@ -214,8 +223,9 @@ class TestDownlink:
         s = simkit._setup(cfg, 64)
         s.weights = np.zeros_like(s.weights)  # forces exactly-zero estimates
         with caplog.at_level(logging.WARNING, logger="psdalign.simkit"):
-            out = simkit._trial(s, np.random.default_rng(0), include_dl=True)
-        assert np.all(out["se"] == 0.0)
+            _, _, truths, estimates = simkit._sound(s, np.random.default_rng(0))
+            se = simkit._matched_filter_se(s, truths, estimates)
+        assert np.all(se == 0.0)
         assert any("zero-norm" in rec.message for rec in caplog.records)
 
 
@@ -270,12 +280,6 @@ class TestStructuredSolver:
         cfg = small_config(channel_model=channel_model, scheme="hadamard")
         assert self.dense_calls(monkeypatch, cfg).count("cho_factor") == 1
 
-    def test_only_ramps_are_toeplitz(self):
-        P = 16
-        assert simkit._ramp_pilots([pilots.fft_pilot(s, P) for s in (0.5, 3.25)])
-        assert not simkit._ramp_pilots(pilots.hadamard_pilots(4))
-        assert not simkit._ramp_pilots([pilots.fft_pilot(0.5, P), pilots.PilotSequence(np.ones(P))])
-
     def test_exact_model_holds_no_synthesis_matrix(self):
         # the phase matrix of a direct synthesis of the contamination band
         # alone would be 4096 x 5706 complex (374 MB)
@@ -325,9 +329,12 @@ class TestTrialAgainstDenseOracle:
 
     The dense route solves E[y y^H] z = y by Cholesky and estimates
     h_hat_k = sqrt(rho) R (conj(x_k) z) with the model's P x P covariance.
+    Ramp pilots take the structured solver; Hadamard pilots, on a window of
+    one slot per user, the dense one.
     """
 
     @given(
+        hadamard_users=st.one_of(st.none(), st.sampled_from([2, 4])),
         channel_model=st.sampled_from(["circulant", "exact"]),
         P=st.integers(8, 256),
         shifts=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
@@ -337,12 +344,17 @@ class TestTrialAgainstDenseOracle:
         dl_lag=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_dense_route(self, channel_model, P, shifts, M, contamination, perfect_csi, dl_lag, seed):
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_route(
+        self, hadamard_users, channel_model, P, shifts, M, contamination, perfect_csi, dl_lag, seed
+    ):
+        if hadamard_users is None:
+            users = dict(users=len(shifts), shifts=tuple(shifts))
+        else:
+            users = dict(scheme="hadamard", users=hadamard_users)
         cfg = ExperimentConfig(
             observation_length=P,
-            users=len(shifts),
-            shifts=tuple(shifts),
+            **users,
             antennas=M,
             contamination_inr_db=0.0 if contamination else None,
             perfect_csi=perfect_csi,
@@ -351,18 +363,22 @@ class TestTrialAgainstDenseOracle:
             trials=1,
         )
         s = simkit._setup(cfg, P)
+        P = s.P
         nmse, rx_power, truths, estimates = simkit._sound(s, np.random.default_rng(seed))
 
         # the same draws again, in the (P, M) layout
         rng = np.random.default_rng(seed)
-        draws = [s.user.draw(rng, M) for _ in shifts]
+        draws = [s.user.draw(rng, M) for _ in range(s.K)]
         y = sum(np.sqrt(s.rho) * x[:, None] * d.window.T for x, d in zip(s.pilot_matrix, draws))
         if contamination:
             y = y + s.cont.draw(rng, M).window.T
         y = y + np.sqrt(s.sigma2) * fading.complex_normal(rng, (P, M))
-        A = estimation.observation_matrix(P, s.sigma2, simkit._observation_terms(s, "covariance"))
-        z = cho_solve(cho_factor(A, lower=True), y)
         R = s.user.covariance()
+        terms = [(s.rho, R, x) for x in s.pilot_matrix]
+        if contamination:
+            terms.append((1.0, s.cont.covariance(), None))
+        A = estimation.observation_matrix(P, s.sigma2, terms)
+        z = cho_solve(cho_factor(A, lower=True), y)
         for k, (x, d) in enumerate(zip(s.pilot_matrix, draws)):
             h_hat = np.sqrt(s.rho) * R @ (np.conj(x)[:, None] * z)
             error = np.mean(np.abs(d.window.T - h_hat) ** 2)
