@@ -14,7 +14,8 @@ sum_q |c_q| (to within the rounding of the direct sum itself).
 
 The outputs are centred first, k = n - N//2, so that the deconvolution
 exp(k^2 tau) stays below exp(pi * SPREAD / 12), about 30; the centring phase
-exp(2j*pi*(N//2)*xi_q) is folded into the spreading weights.
+exp(2j*pi*(N//2)*xi_q) multiplies the strengths, so the spreading weights
+stay real and spread the real and imaginary parts together.
 """
 
 import math
@@ -69,8 +70,8 @@ class Type1:
         x = self.nodes % 1.0
         rows = np.floor(x * size).astype(np.int64)[:, None] + np.arange(1 - SPREAD, SPREAD + 1)
         weights = np.exp(-(math.pi**2 / tau) * (rows / size - x[:, None]) ** 2)
-        weights = weights * np.exp(2j * np.pi * centre * self.nodes)[:, None]
-        # duplicate (row, node) pairs, on grids shorter than 2 * SPREAD, are summed
+        self._centre = np.exp(2j * np.pi * centre * self.nodes)[:, None]
+        # real weights: duplicate (row, node) pairs, on grids shorter than 2 * SPREAD, are summed
         self._spread = csr_array(
             (weights.ravel(), (rows.ravel() % size, np.repeat(np.arange(Q), 2 * SPREAD))), shape=(size, Q)
         )
@@ -82,9 +83,19 @@ class Type1:
         """(M, N) sums for a (Q, M) block of strengths: one row of N outputs per column of c."""
         if self._spread is None:
             return self.dense(c)
-        # one grid row per column of c, so the inverse FFT runs along the contiguous axis
-        grid = np.fft.ifft(np.ascontiguousarray((self._spread @ c).T))
-        return np.take(grid, self._gather, axis=1) * self._deconvolve
+        # the real weights spread the real and imaginary parts of the centred
+        # strengths as 2M real columns; one grid row per column of c, so the
+        # inverse FFT runs along the contiguous axis
+        spread = self._spread @ np.ascontiguousarray(c * self._centre).view(float)
+        grid = np.ascontiguousarray(spread.view(complex).T)
+        del spread
+        # in place, so one grid fewer is alive at a time: with a second grid,
+        # the exact model's trials at P=1024 returned heap pages to the OS
+        # and faulted about 1000 of them back in every trial
+        np.fft.ifft(grid, out=grid)
+        out = np.take(grid, self._gather, axis=1)
+        out *= self._deconvolve
+        return out
 
     def dense(self, c):
         """The direct sum as (M, N), whichever way the transform evaluates: the reference for tests."""

@@ -286,6 +286,15 @@ class TestStructuredSolver:
         s = simkit._setup(ExperimentConfig(channel_model="exact"), 4096)
         assert array_bytes(s.user) + array_bytes(s.cont) < 32e6
 
+    def test_circulant_bases_hold_the_support_alone(self):
+        # a full-spectrum basis of the default P=4096 scene would be 16 x 4096
+        # complex (1 MB) a user; the two (P, S) phase matrices take 2.2 MB
+        s = simkit._setup(ExperimentConfig(), 4096)
+        S = s.user.support.size
+        assert S <= simkit.DFT_MAX_SUPPORT
+        assert s.user.draw(np.random.default_rng(0), s.M).basis.shape == (s.M, S)
+        assert array_bytes(s.user) < 3e6
+
     @pytest.mark.parametrize("pilot_snr_db", [-10.0, 0.0, 20.0])
     def test_exact_model_mse_matches_dense_error_covariance(self, pilot_snr_db):
         cfg = ExperimentConfig(pilot_snr_db=pilot_snr_db)
@@ -324,13 +333,61 @@ class TestChannelDraws:
             assert np.array_equal(draw.window.T, window)
 
 
+class TestCirculantSupport:
+    """The circulant model draws and estimates on the support of its clamped eigenvalues."""
+
+    # Clarke users at P=512 whose supports hold 31 and 33 bins, either side of the crossover
+    BELOW, ABOVE = 0.03, 0.0315
+
+    @pytest.mark.parametrize("F,power", [(0.002, 1.0), (ABOVE, 1.0), (0.05, 0.0)])
+    def test_draw_takes_the_full_random_stream(self, F, power):
+        P, M = 512, 3
+        model = simkit.CirculantModel(DopplerSpectrum.clarke(F, power=power), P)
+        rng, bare = np.random.default_rng(3), np.random.default_rng(3)
+        model.draw(rng, M)
+        fading.complex_normal(bare, (P, M))
+        assert rng.random() == bare.random()
+
+    @pytest.mark.parametrize("F,below", [(BELOW, True), (ABOVE, False)])
+    def test_branches_agree_at_the_crossover(self, monkeypatch, F, below):
+        P, M = 512, 3
+        spectrum = DopplerSpectrum.clarke(F)
+        model = simkit.CirculantModel(spectrum, P, dl_lag=1)
+        assert (model.support.size <= simkit.DFT_MAX_SUPPORT) == below
+        assert abs(model.support.size - simkit.DFT_MAX_SUPPORT) <= 1
+        # the same model forced onto the other branch
+        monkeypatch.setattr(simkit, "DFT_MAX_SUPPORT", 0 if below else P)
+        other = simkit.CirculantModel(spectrum, P, dl_lag=1)
+        assert (model._synthesis is None, other._synthesis is None) == (not below, below)
+        a, b = (m.draw(np.random.default_rng(4), M) for m in (model, other))
+        assert np.array_equal(a.basis, b.basis)
+        np.testing.assert_allclose(a.window, b.window, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.downlink, b.downlink, rtol=0, atol=1e-12)
+        W = fading.complex_normal(np.random.default_rng(5), (M, P))
+        (error_a, last_a), (error_b, last_b) = model.estimate(a.basis, W), other.estimate(b.basis, W)
+        assert error_a == pytest.approx(error_b, rel=1e-12)
+        np.testing.assert_allclose(last_a, last_b, rtol=0, atol=1e-12)
+
+    def test_empty_support_draws_zeros(self):
+        P, M = 32, 2
+        model = simkit.CirculantModel(DopplerSpectrum.clarke(0.05, power=0.0), P)
+        assert model.support.size == 0
+        draw = model.draw(np.random.default_rng(6), M)
+        assert draw.basis.shape == (M, 0)
+        assert np.all(draw.window == 0) and np.all(draw.downlink == 0)
+        error, last = model.estimate(draw.basis, fading.complex_normal(np.random.default_rng(7), (M, P)))
+        assert error == 0.0 and np.all(last == 0)
+
+
 class TestTrialAgainstDenseOracle:
     """The trial's per-user error power and downlink estimates against dense matrices.
 
     The dense route solves E[y y^H] z = y by Cholesky and estimates
     h_hat_k = sqrt(rho) R (conj(x_k) z) with the model's P x P covariance.
     Ramp pilots take the structured solver; Hadamard pilots, on a window of
-    one slot per user, the dense one.
+    one slot per user, the dense one. Dopplers from 10 to 1250 Hz (F from
+    0.002 to 0.25) put circulant supports on both sides of the crossover
+    between the restricted DFT and the FFTs.
     """
 
     @given(
@@ -342,11 +399,12 @@ class TestTrialAgainstDenseOracle:
         contamination=st.booleans(),
         perfect_csi=st.booleans(),
         dl_lag=st.integers(0, 2),
+        doppler_hz=st.floats(10.0, 1250.0),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_dense_route(
-        self, hadamard_users, channel_model, P, shifts, M, contamination, perfect_csi, dl_lag, seed
+        self, hadamard_users, channel_model, P, shifts, M, contamination, perfect_csi, dl_lag, doppler_hz, seed
     ):
         if hadamard_users is None:
             users = dict(users=len(shifts), shifts=tuple(shifts))
@@ -359,6 +417,7 @@ class TestTrialAgainstDenseOracle:
             contamination_inr_db=0.0 if contamination else None,
             perfect_csi=perfect_csi,
             dl_lag=dl_lag,
+            doppler_hz=doppler_hz,
             channel_model=channel_model,
             trials=1,
         )
