@@ -241,18 +241,23 @@ def build_covariance(spectrum, P):
     return ChannelCovariance(P=P, values=np.asarray(spectrum.autocorrelation(np.arange(P))))
 
 
-def complex_normal(rng, shape):
+def complex_normal(rng, shape, out=None, scratch=None):
     """Standard circular complex Gaussians, unit variance per entry.
 
     Bit-identical to (a + 1j * b) / sqrt(2) for a then b drawn by
     rng.standard_normal(shape), without that expression's temporaries.
+    `out` (complex) and `scratch` (float), both C-contiguous of `shape`,
+    receive the draw and each plane of it in turn; either is allocated when
+    not given, and the numbers are the same.
     """
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    if scratch is None:
+        scratch = np.empty(shape)
     # numpy divides a complex array by a real scalar as a product with its
     # reciprocal; the same product on the float parts is bit for bit that
     # division, at a fraction of its cost
-    parts = out.reshape(-1).view(float)
-    parts *= 1.0 / np.sqrt(2.0)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal(out=scratch), scale, out=out.real)
+    np.multiply(rng.standard_normal(out=scratch), scale, out=out.imag)
     return out

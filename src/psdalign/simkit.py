@@ -37,6 +37,13 @@ the dense matrix by Cholesky.
   of the spectral measure, through the type-1 NUFFT of `psdalign.nufft`
   (directly for the few nodes of a narrow Clarke band): no P x Q matrix is
   kept. It estimates in the time domain with its Toeplitz product.
+
+`run_experiment` gives each worker a contiguous block of trials and one
+`Workspace`, which its first trial fills with the blocks every trial reuses:
+the white draws (`complex_normal` with `out=`) and their float scratch plane,
+the observation, the window, the solve's two blocks and the bases. The
+circulant model's FFTs and the solve's six run in place there, so after the
+first trial a circulant trial allocates no (M, P) block.
 """
 
 import json
@@ -134,13 +141,39 @@ def _model_eigenvalues(spectrum, P):
     return lam
 
 
+class Workspace:
+    """The arrays one worker's trials reuse, by name.
+
+    `get` returns a C-contiguous view of the named buffer in the shape asked
+    for; each name holds one dtype. A buffer is allocated only when its name
+    asks for more than it holds, so after a worker's first trial its trials
+    allocate no block.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape, dtype=complex):
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _white(rng, shape, ws):
+    """complex_normal(rng, shape) in the workspace's white block."""
+    return complex_normal(rng, shape, out=ws.get("white", shape), scratch=ws.get("plane", shape, float))
+
+
 class ChannelDraw(NamedTuple):
     """One draw of M antennas, in the (M, P) layout.
 
     `window` holds the P window slots, `downlink` the (M,) sample `dl_lag`
     slots past them, and `basis` the draw as the model's `estimate` reads it:
     the window itself for the exact model, its spectrum on the support bins
-    for the circulant model.
+    for the circulant model. A draw into a `Workspace` may keep its arrays
+    there, until the next draw into the same workspace.
     """
 
     window: np.ndarray
@@ -174,10 +207,10 @@ class CirculantModel:
     is c on the support only, (M, S). With few support bins the window and the
     estimator's spectrum are the restricted inverse DFT and DFT, (M, S) @ (S, P)
     and (M, P) @ (P, S); with more than `DFT_MAX_SUPPORT` they are an inverse
-    FFT of the scattered spectrum and an FFT gathered on the support. The
-    downlink sample lies `dl_lag` slots past the window, on the periodic
-    extension. The P x P covariance is built on request and not kept: only the
-    dense observation covariance needs it.
+    FFT of the whole spectrum, taken in place, and an FFT gathered on the
+    support. The downlink sample lies `dl_lag` slots past the window, on the
+    periodic extension. The P x P covariance is built on request and not
+    kept: only the dense observation covariance needs it.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
@@ -185,14 +218,18 @@ class CirculantModel:
         self.lam = _model_eigenvalues(spectrum, P)
         self.support = np.flatnonzero(self.lam)
         self._support_lam = self.lam[self.support]
-        self._scale = np.sqrt(P * self._support_lam)
         self._last = _inverse_dft_row(P, P - 1)[self.support]
         self._dl = _inverse_dft_row(P, P - 1 + dl_lag)[self.support]
         self._synthesis = self._analysis = None
+        # sqrt(P lam) on the bins a draw scales, complex so that its product
+        # with the white block casts nothing
         if self.support.size <= DFT_MAX_SUPPORT:
             slots = np.arange(P)
             self._synthesis = _dft_phases(self.support, slots, P) / P
             self._analysis = _dft_phases(slots, -self.support, P)
+            self._scale = np.sqrt(P * self._support_lam).astype(complex)
+        else:
+            self._scale = np.sqrt(P * self.lam).astype(complex)
 
     def column(self):
         """First column of the circulant covariance."""
@@ -201,27 +238,40 @@ class CirculantModel:
     def covariance(self):
         return circulant(self.column())
 
-    def draw(self, rng, M):
+    def draw(self, rng, M, ws=None):
         """A ChannelDraw; the basis is the window's DFT on the support, (M, S)."""
+        ws = Workspace() if ws is None else ws
         # the full (P, M) draw, transposed: the random stream of the (P, M) layout
-        white = complex_normal(rng, (self.P, M))
-        basis = np.multiply(white[self.support].T, self._scale, order="C")
+        white = _white(rng, (self.P, M), ws)
+        window = ws.get("window", (M, self.P))
+        basis = ws.get("basis", (M, self.support.size))
         if self._synthesis is not None:
-            window = basis @ self._synthesis
+            np.multiply(white[self.support].T, self._scale, out=basis)
+            np.matmul(basis, self._synthesis, out=window)
         else:
-            spectrum = np.zeros((M, self.P), dtype=complex)
-            spectrum[:, self.support] = basis
-            window = np.fft.ifft(spectrum)
+            # the spectrum, zero off the support, becomes the window in place;
+            # a product straight from the transposed white block would take
+            # numpy two iteration buffers, as large as the block at M=16, P=1024
+            np.copyto(window, white.T)
+            window *= self._scale
+            # in range, so clipping changes nothing; the default mode="raise"
+            # would copy through a temporary the size of `basis`
+            np.take(window, self.support, axis=1, out=basis, mode="clip")
+            np.fft.ifft(window, out=window)
         return ChannelDraw(window, basis @ self._dl, basis)
 
-    def estimate(self, basis, W):
+    def estimate(self, basis, W, ws=None):
         """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W.
 
         The error power is the mean of |h - h_hat|^2 over the window, with h
         the draw whose basis is given: by Parseval, ||c - fft(h_hat)||^2 / (P^2 M),
-        summed over the support alone, since off it both spectra are zero.
+        summed over the support alone, since off it both spectra are zero. On
+        the FFT branch the transform of W goes into `ws` when one is given.
         """
-        E = W @ self._analysis if self._analysis is not None else np.fft.fft(W)[:, self.support]
+        if self._analysis is not None:
+            E = W @ self._analysis
+        else:
+            E = np.fft.fft(W, out=None if ws is None else ws.get("spectrum", W.shape))[:, self.support]
         E *= self._support_lam
         last = E @ self._last
         E -= basis
@@ -257,13 +307,16 @@ class ExactModel:
     def covariance(self):
         return self.cov.toeplitz()
 
-    def draw(self, rng, M):
+    def draw(self, rng, M, ws=None):
         """A ChannelDraw; the basis is the window itself."""
-        block = self.synthesis(self.amp[:, None] * complex_normal(rng, (self.amp.size, M)))
+        ws = Workspace() if ws is None else ws
+        strengths = _white(rng, (self.amp.size, M), ws)
+        np.multiply(self.amp[:, None], strengths, out=strengths)
+        block = self.synthesis(strengths)
         window = block[:, : self.P]
         return ChannelDraw(window, block[:, -1], window)
 
-    def estimate(self, basis, W):
+    def estimate(self, basis, W, ws=None):
         """Error power and (M,) last-slot estimate of h_hat = R W, by the Toeplitz product."""
         h_hat = self.toeplitz.matvec(W.T).T
         error = basis - h_hat
@@ -326,7 +379,7 @@ def _setup(config, P):
         if s.cont is not None:
             terms.append((1.0, s.cont.covariance(), None))
         factor = cho_factor(estimation.observation_matrix(P, s.sigma2, terms), lower=True)
-        s.solve = lambda y: cho_solve(factor, y)
+        s.solve = lambda y, buffers: cho_solve(factor, y)
     else:
         s = _scene(config, P, np.stack([pilots.fft_pilot(tau, P).values for tau in user_shifts(config, P)]))
         r = s.user.column()
@@ -341,37 +394,41 @@ def _setup(config, P):
     return s
 
 
-def _sound(s, rng):
+def _sound(s, rng, ws):
     """One trial's uplink: per-user error power, received power, and the
-    (K, M) downlink truths and the estimates that steer the beams."""
+    (K, M) downlink truths and the estimates that steer the beams.
+
+    Its blocks live in the workspace `ws`, which it overwrites.
+    """
     # fixed draw order: users, then contamination, then noise; each user's
     # window is added to y as soon as it is drawn, and only its basis is kept
-    y = np.zeros((s.M, s.P), dtype=complex)
-    term = np.empty_like(y)
-    bases = []
+    y = ws.get("y", (s.M, s.P))
+    y.fill(0)
     truths = np.empty((s.K, s.M), dtype=complex)
     estimates = np.empty_like(truths)
     for k in range(s.K):
-        window, truths[k], basis = s.user.draw(rng, s.M)
-        bases.append(basis)
+        window, truths[k], basis = s.user.draw(rng, s.M, ws)
+        if k == 0:
+            bases = ws.get("bases", (s.K, *basis.shape))
+        bases[k] = basis
         if s.perfect_csi:
             estimates[k] = window[:, -1]
-        y += np.multiply(s.tx[k], window, out=term)
-    del window, term
+        y += np.multiply(s.tx[k], window, out=window)
     if s.cont is not None:
-        y += s.cont.draw(rng, s.M).window
-    noise = complex_normal(rng, (s.P, s.M))
+        y += s.cont.draw(rng, s.M, ws).window
+    noise = _white(rng, (s.P, s.M), ws)
     noise *= math.sqrt(s.sigma2)
     y += noise.T
-    del noise
 
     rx_power = float(np.vdot(y, y).real) / y.size
 
-    Z = s.solve(y.T).T
+    blocks = ws.get("solve", (2, s.M, s.P))
+    Z = s.solve(y.T, blocks).T
+    W = blocks[1]  # the solve's work block, free once it returns
     nmse = np.empty(s.K)
-    for k, basis in enumerate(bases):
+    for k in range(s.K):
         # per-element error power == ||err||^2 / (P * r0) per antenna with r0 = 1
-        nmse[k], estimate = s.user.estimate(basis, s.weights[k] * Z)
+        nmse[k], estimate = s.user.estimate(bases[k], np.multiply(s.weights[k], Z, out=W), ws)
         if not s.perfect_csi:
             estimates[k] = estimate
     return nmse, rx_power, truths, estimates
@@ -414,23 +471,31 @@ def run_experiment(config, P=None, include_dl=True):
     """Run one (scheme, P) experiment; returns a RunResult.
 
     Trials use independent, replayable random streams seeded by
-    (config.seed, scheme, P, trial). With jobs > 1 the trials run on a thread
-    pool; the reduction order is fixed, so results do not depend on `jobs`.
+    (config.seed, scheme, P, trial). Each of `jobs` workers runs a contiguous
+    block of trials in one `Workspace` of its own, on a thread pool when there
+    is more than one; results come back in trial order and the reduction order
+    is fixed, so they do not depend on `jobs`.
     """
     P = int(P or config.observation_length)
     s = _setup(config, P)
     scheme_tag = 0 if config.scheme == "psd_align" else 1
     seeds = [(config.seed, scheme_tag, s.P, t) for t in range(config.trials)]
 
-    def one(t):
-        nmse, rx_power, truths, estimates = _sound(s, np.random.default_rng(list(seeds[t])))
-        return nmse, rx_power, _matched_filter_se(s, truths, estimates) if include_dl else None
+    def run_block(trials):
+        ws = Workspace()
+        outs = []
+        for t in trials:
+            nmse, rx_power, truths, estimates = _sound(s, np.random.default_rng(list(seeds[t])), ws)
+            outs.append((nmse, rx_power, _matched_filter_se(s, truths, estimates) if include_dl else None))
+        return outs
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outs = list(pool.map(one, range(config.trials)))
+    workers = min(config.jobs, config.trials)
+    if workers > 1:
+        blocks = [range(w * config.trials // workers, (w + 1) * config.trials // workers) for w in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outs = [out for block in pool.map(run_block, blocks) for out in block]
     else:
-        outs = [one(t) for t in range(config.trials)]
+        outs = run_block(range(config.trials))
     nmse_outs, rx_outs, se_outs = zip(*outs)
 
     nmse_trials = np.stack(nmse_outs)

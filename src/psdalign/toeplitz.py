@@ -117,6 +117,7 @@ class ToeplitzInverse:
         self._u = u
         self._v = v = _reflect(u)
         self._D = D = _skew(P)
+        self._Dc = np.conj(D)
         # S(u)^H, S(v - u0 e0)^H and C(u), C(v + u0 e0) / (2 u0) on the transform grid
         u0e0 = np.zeros(P)
         u0e0[0] = u0
@@ -125,20 +126,33 @@ class ToeplitzInverse:
         self._Cu = np.fft.fft(u) / (2 * u0)
         self._Cv = np.fft.fft(v + u0e0) / (2 * u0)
 
-    def solve(self, Y):
-        """T^{-1} Y for a length-P vector or a (P, M) block."""
-        Yf = np.fft.fft(_rows(Y) * self._D)
-        Dc = np.conj(self._D)
-        a = np.fft.ifft(self._Su * Yf)
-        a *= Dc
-        b = np.fft.ifft(self._Sv * Yf)
-        b *= Dc
-        Z = np.fft.fft(a)
-        Z *= self._Cu
-        B = np.fft.fft(b)
+    def solve(self, Y, buffers=None):
+        """T^{-1} Y for a length-P vector or a (P, M) block.
+
+        The six FFTs run in place in two complex blocks shaped like Y.T and
+        C-contiguous, `buffers[0]` and `buffers[1]` when given (the result is
+        a view of the first), allocated otherwise.
+        """
+        Y = _rows(Y)
+        Z, B = np.empty((2, *Y.shape), dtype=complex) if buffers is None else buffers
+        fft, ifft = np.fft.fft, np.fft.ifft
+        fft(np.multiply(Y, self._D, out=Z), out=Z)
+        # B = C(v + u0 e0) S(v - u0 e0)^H Y / (2 u0), still on the transform grid
+        np.multiply(self._Sv, Z, out=B)
+        ifft(B, out=B)
+        B *= self._Dc
+        fft(B, out=B)
         B *= self._Cv
+        # the same with u, over fft(D Y), which nothing reads after this
+        # (numpy's complex product is not bitwise commutative: the factors
+        # keep their order)
+        np.multiply(self._Su, Z, out=Z)
+        ifft(Z, out=Z)
+        Z *= self._Dc
+        fft(Z, out=Z)
+        Z *= self._Cu
         Z -= B
-        return np.fft.ifft(Z).T
+        return ifft(Z, out=Z).T
 
     def trace(self):
         """tr(T^{-1}) in O(P): the diagonal of L(a) L(a)^H sums to sum_j (P - j) |a_j|^2."""

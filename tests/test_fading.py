@@ -216,6 +216,14 @@ def test_complex_normal_bits_unchanged(shape):
     assert np.array_equal(np.atleast_1d(new).view(float), np.atleast_1d(old).view(float))
 
 
+def test_complex_normal_fills_given_buffers():
+    # the trials draw into reused blocks: the same bits as a fresh draw, whatever the blocks held
+    out, scratch = np.full((64, 3), np.nan, dtype=complex), np.full((64, 3), np.nan)
+    drawn = complex_normal(np.random.default_rng(7), (64, 3), out=out, scratch=scratch)
+    assert drawn is out
+    assert np.array_equal(out.view(float), complex_normal(np.random.default_rng(7), (64, 3)).view(float))
+
+
 def window(model, rng_seed, M):
     """The (P, M) window of one model draw."""
     return model.draw(np.random.default_rng(rng_seed), M).window.T

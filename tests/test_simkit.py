@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,11 +96,19 @@ class TestDeterminism:
         b = run_experiment(cfg)
         assert a == b
 
-    def test_jobs_do_not_change_results(self):
-        # a circulant downlink run; trials on a thread pool share the set-up
-        # read-only and allocate their own buffers, so every field is bit-identical
-        a = run_experiment(small_config())
-        b = run_experiment(small_config(jobs=2))
+    # at P=256 the default Clarke user's circulant support holds 246 bins
+    # (the FFT branch), at 40 Hz 19 (the restricted DFT)
+    @pytest.mark.parametrize("jobs", [2, 5, 13])
+    @pytest.mark.parametrize(
+        "model", [dict(), dict(doppler_hz=40.0), dict(channel_model="exact")], ids=["fft", "dft", "exact"]
+    )
+    def test_jobs_do_not_change_results(self, model, jobs):
+        # downlink runs of 12 trials; each worker takes a contiguous block of
+        # them in its own workspace and shares the set-up read-only, so every
+        # field is bit-identical. 5 workers do not divide the trials, and 13
+        # are more workers than trials.
+        a = run_experiment(small_config(**model))
+        b = run_experiment(small_config(jobs=jobs, **model))
         assert a.nmse_empirical == b.nmse_empirical
         assert a.dl_se_sum == b.dl_se_sum
         assert a == b
@@ -108,6 +117,44 @@ class TestDeterminism:
         a = run_experiment(small_config())
         b = run_experiment(small_config(seed=100))
         assert a.nmse_empirical != b.nmse_empirical
+
+
+class TestWorkspace:
+    """Every trial of a worker runs in one workspace, allocated by its first trial."""
+
+    # the default user's circulant support: 21 bins at P=512 (the restricted
+    # DFT) and 37 at P=1024 (the FFT branch)
+    @pytest.mark.parametrize(
+        "channel_model,P,S", [("circulant", 512, 21), ("circulant", 1024, 37), ("exact", 512, None)]
+    )
+    def test_dirty_workspace_gives_the_fresh_trial(self, channel_model, P, S):
+        s = simkit._setup(ExperimentConfig(channel_model=channel_model, antennas=4), P)
+        if S is not None:
+            assert s.user.support.size == S
+        ws = simkit.Workspace()
+        for seed in (1, 2):
+            simkit._sound(s, np.random.default_rng(seed), ws)
+        dirty = simkit._sound(s, np.random.default_rng(3), ws)
+        fresh = simkit._sound(s, np.random.default_rng(3), simkit.Workspace())
+        for a, b in zip(dirty, fresh):
+            assert np.array_equal(a, b)
+
+    # at P=1024 the user's support holds 17 bins at 40 Hz, 37 at the default 10 Hz
+    @pytest.mark.parametrize("doppler_hz,S", [(40.0, 17), (10.0, 37)])
+    def test_steady_state_trial_allocates_under_one_block(self, doppler_hz, S):
+        # tracemalloc sees numpy's data allocations: after the first trial a
+        # default-size trial (M=16, K=8, contamination on) allocates no (M, P) block
+        s = simkit._setup(ExperimentConfig(doppler_hz=doppler_hz), 1024)
+        assert s.user.support.size == S
+        ws = simkit.Workspace()
+        simkit._sound(s, np.random.default_rng(0), ws)
+        tracemalloc.start()
+        try:
+            simkit._sound(s, np.random.default_rng(1), ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.M * s.P * np.dtype(complex).itemsize
 
 
 class TestUplinkStatistics:
@@ -223,7 +270,7 @@ class TestDownlink:
         s = simkit._setup(cfg, 64)
         s.weights = np.zeros_like(s.weights)  # forces exactly-zero estimates
         with caplog.at_level(logging.WARNING, logger="psdalign.simkit"):
-            _, _, truths, estimates = simkit._sound(s, np.random.default_rng(0))
+            _, _, truths, estimates = simkit._sound(s, np.random.default_rng(0), simkit.Workspace())
             se = simkit._matched_filter_se(s, truths, estimates)
         assert np.all(se == 0.0)
         assert any("zero-norm" in rec.message for rec in caplog.records)
@@ -423,7 +470,7 @@ class TestTrialAgainstDenseOracle:
         )
         s = simkit._setup(cfg, P)
         P = s.P
-        nmse, rx_power, truths, estimates = simkit._sound(s, np.random.default_rng(seed))
+        nmse, rx_power, truths, estimates = simkit._sound(s, np.random.default_rng(seed), simkit.Workspace())
 
         # the same draws again, in the (P, M) layout
         rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 """The structured Toeplitz product and solver against the dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -110,6 +112,26 @@ def test_vectors_and_blocks_agree():
     np.testing.assert_allclose(inverse.solve(Y[:, 1]), inverse.solve(Y)[:, 1], rtol=1e-14)
     np.testing.assert_allclose(T.matvec(Y[:, 0]), T.matvec(Y)[:, 0], rtol=1e-14)
     np.testing.assert_allclose(T.matvec(inverse.solve(Y)), Y, rtol=1e-12)
+
+
+def test_buffered_solve_allocates_under_one_block():
+    # the trial's layout: the (P, M) transpose of a C-contiguous (M, P) block,
+    # solved in two blocks of that shape
+    P, M = 1024, 16
+    terms = [(1.0, CirculantModel(DopplerSpectrum.clarke(0.002), P).column(), pilots.fft_pilot(37.5, P).values)]
+    inverse = ToeplitzInverse(estimation.observation_column(P, 1.0, terms))
+    X = np.random.default_rng(1).standard_normal((M, 2 * P)).view(complex)
+    buffers = np.empty((2, M, P), dtype=complex)
+    inverse.solve(X.T, buffers)
+    tracemalloc.start()
+    try:
+        Z = inverse.solve(X.T, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
+    assert np.shares_memory(Z, buffers[0])
+    assert np.array_equal(Z, inverse.solve(X.T))
 
 
 def test_indefinite_matrix_rejected():
