@@ -11,8 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fading import stacked_psd
+from .fading import arc_gaps, stacked_psd
 from .quadrature import adaptive_gl
+
+
+# an interferer is kept when a band of it comes within this many cycles of the
+# user's own support: far above the rounding of shifted band edges (a few
+# 1e-16 on values of order 1), so rounding can only keep one, never drop it
+_MEET_MARGIN = 1e-9
 
 
 class SingularSceneError(np.linalg.LinAlgError):
@@ -190,13 +196,21 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
     and every band edge becomes a panel breakpoint, so the quadrature sees
     only smooth integrands.
 
-    All interferers are evaluated at a node set in one (interferer, node)
+    Only the interferers that can be nonzero on the user's own support enter
+    (`_meeting`): one whose shifted bands all lie more than `_MEET_MARGIN` away
+    from the user's closed bands on the circle is 0.0 at every quadrature node,
+    since the nodes lie on the user's support, and none of its edges falls
+    inside a panel; so dropping it changes no bit, and under a valid plan the
+    quadrature sees only the touching neighbours and the bands that meet.
+
+    The kept interferers are evaluated at a node set in one (interferer, node)
     broadcast (`fading.stacked_psd`: the bathtub ones together, flat ones
     through their own `psd`), and their terms are summed in the given order
     with the floating-point operations of adding them one at a time, so the
     integrand is bit for bit that of a per-interferer loop.
     """
-    interferers = list(interferers)
+    own = spectrum.support()
+    interferers = _meeting(own, list(interferers))
     interference = _interference(interferers)
 
     def integrand(xi):
@@ -204,12 +218,12 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
         denom = S * power + interference(xi) + noise_var
         return np.divide(S * S * power, denom, out=np.zeros_like(S), where=denom > 0)
 
-    edges = {e for band in spectrum.support() for e in band}
+    edges = {e for band in own for e in band}
     shifted = [e + shift for sp, shift, _ in interferers for band in sp.support() for e in band]
     edges.update(_wrap(np.array(shifted, dtype=float)).tolist())
 
     total = 0.0
-    for lo, hi in spectrum.support():
+    for lo, hi in own:
         # arcsine substitution absorbs the user's own singular edges
         theta_lo, theta_hi = -np.pi / 2, np.pi / 2
         center = 0.5 * (lo + hi)
@@ -231,6 +245,26 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
 
     # outside the user's own support S vanishes and the integrand with it
     return 1.0 - total
+
+
+def _meeting(bands, interferers):
+    """The (S_g, shift_g, rho_g) interferers, in order, that can be nonzero on the closed `bands`.
+
+    One is kept when one of S_g's closed bands, shifted by shift_g, comes within
+    `_MEET_MARGIN` of one of `bands` on the circle (touching counts), and when
+    S_g has no band at all: a powerless bathtub still reads 0 * inf = nan on
+    its edges.
+    """
+    rows = [(g, lo + shift, hi + shift) for g, (sp, shift, _) in enumerate(interferers) for lo, hi in sp.support()]
+    if not rows:
+        return interferers
+    owners, lo, hi = (np.array(column) for column in zip(*rows))
+    own = np.array(bands, dtype=float).reshape(-1, 2)
+    meets = (arc_gaps(own[:, :1], own[:, 1:], lo, hi) <= _MEET_MARGIN).any(axis=0)
+    keep = np.ones(len(interferers), dtype=bool)
+    keep[owners] = False
+    keep[owners[meets]] = True
+    return [i for i, k in zip(interferers, keep.tolist()) if k]
 
 
 def _interference(interferers):

@@ -5,6 +5,9 @@ A bathtub spectrum with normalized maximum Doppler F describes isotropic
 scattering; its autocorrelation is J0(2*pi*F*v). Flat bands model band-limited
 interference.
 
+`arc_gaps` measures the gap between closed arcs of that circle, for the
+alignment planner and for the interferers the limit integral keeps.
+
 Channels are drawn only by the models of `psdalign.simkit`: the exact one from
 `DopplerSpectrum.synthesis_nodes`, the circulant one from the clamped
 `ChannelCovariance.eigenvalues`, both through `complex_normal`.
@@ -76,6 +79,23 @@ def grid_frequencies(P):
     """DFT bin frequencies p/P wrapped into (-1/2, 1/2], in DFT order."""
     xi = np.arange(P) / P
     return np.where(xi > 0.5, xi - 1.0, xi)
+
+
+def arc_gaps(lo_a, hi_a, lo_b, hi_b):
+    """Minimal gaps (cycles) between closed arcs [lo_a, hi_a] and [lo_b, hi_b] on the unit circle.
+
+    The arguments broadcast against each other. Positive: clear separation
+    (symmetric in the arcs). Zero: the arcs touch at a point. Negative: they
+    overlap; only the sign is meaningful then (the magnitude is a
+    direction-dependent deficit), and arcs whose widths add up to a full turn
+    get -1.
+    """
+    width_a = hi_a - lo_a
+    width_b = hi_b - lo_b
+    rel = (lo_b - lo_a) % 1.0
+    fwd = rel - width_a            # from a's end forward to b's start
+    bwd = (1.0 - rel) - width_b    # from b's end forward to a's start
+    return np.where(width_a + width_b >= 1.0, -1.0, np.minimum(fwd, bwd))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ whose shifted spectra occupy disjoint supports become asymptotically
 non-interfering, so alignment planning is interval packing on the circle.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fading import grid_frequencies
+from .fading import arc_gaps, grid_frequencies
 
 # support detection threshold, relative to the largest eigenvalue
 EIGENVALUE_FLOOR_REL = 1e-10
@@ -152,6 +153,8 @@ def _structured_norm(R_k, R_g, pkg):
     37, 1995): C[i+1, j+1] = C[i, j] + R_k[i+1, 0] B[0, j+1] - R_k[i, P-1] B[P-1, j].
     C's first row and column take one matrix-vector product each; every later
     row follows from the one before in O(P), and the norm accumulates row by row.
+    The rows alternate between two buffers, whose slices are taken once, and
+    the correction term goes through one scratch row, so a row allocates nothing.
     """
     P = R_k.shape[0]
     cpkg = np.conj(pkg)
@@ -160,16 +163,22 @@ def _structured_norm(R_k, R_g, pkg):
     row = row.astype(np.result_type(row, first_col))
     b_first = (pkg[0] * R_g[0, 1:] * cpkg[1:]).astype(row.dtype)
     b_last = (pkg[-1] * R_g[-1, :-1] * cpkg[:-1]).astype(row.dtype)
-    a_first, a_last = R_k[:, 0], R_k[:, -1]
+    a_first, a_last, c_first = R_k[:, 0].tolist(), R_k[:, -1].tolist(), first_col.tolist()
     total = np.vdot(row, row).real
+    scratch = np.empty_like(b_last)
+    # (buffer, head [:-1], tail [1:]) of the current row and of the next
+    cur = (row, row[:-1], row[1:])
     nxt = np.empty_like(row)
+    new = (nxt, nxt[:-1], nxt[1:])
     for i in range(P - 1):
-        nxt[0] = first_col[i + 1]
-        np.multiply(b_first, a_first[i + 1], out=nxt[1:])
-        nxt[1:] += row[:-1]
-        nxt[1:] -= a_last[i] * b_last
-        total += np.vdot(nxt, nxt).real
-        row, nxt = nxt, row
+        buf, _, tail = new
+        buf[0] = c_first[i + 1]
+        np.multiply(b_first, a_first[i + 1], out=tail)
+        tail += cur[1]
+        np.multiply(a_last[i], b_last, out=scratch)
+        tail -= scratch
+        total += np.vdot(buf, buf).real
+        cur, new = new, cur
     return float(np.sqrt(total))
 
 
@@ -220,6 +229,11 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     floor_rel * max. For integer dtau this coincides with elementwise
     disjointness of the rolled eigenvalue masks; fractional shifts compare the
     same intervals translated on the circle.
+
+    An array of shifts (a numpy array of one or more dimensions) gives a
+    boolean array of its shape, each entry the answer for that shift: the runs
+    are found once, and each pair of runs is tested against every shift in one
+    array expression.
     """
     same = lam_g is lam_k
     lam_k = np.asarray(lam_k, dtype=float)
@@ -230,14 +244,25 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     runs_k = _support_runs(lam_k, floor_rel)
     # one spectrum against itself (equal-Doppler users): its runs once
     runs_g = runs_k if same else _support_runs(lam_g, floor_rel)
-    for lo_k, hi_k in runs_k:
-        for lo_g, hi_g in runs_g:
-            lo, hi = lo_g + dtau, hi_g + dtau
-            # circular closed-interval overlap test
-            delta = (lo - lo_k) % P
-            if delta <= (hi_k - lo_k) or (P - delta) <= (hi - lo):
+    if isinstance(dtau, np.ndarray) and dtau.ndim:
+        overlap = np.zeros(dtau.shape, dtype=bool)
+        for run_k in runs_k:
+            for run_g in runs_g:
+                overlap |= _runs_overlap(run_k, run_g, dtau, P)
+        return ~overlap
+    for run_k in runs_k:
+        for run_g in runs_g:
+            if _runs_overlap(run_k, run_g, dtau, P):
                 return False
     return True
+
+
+def _runs_overlap(run_k, run_g, dtau, P):
+    """Circular closed-interval overlap of bin run_k and bin run_g shifted by dtau (scalar or array)."""
+    lo_k, hi_k = run_k
+    lo, hi = run_g[0] + dtau, run_g[1] + dtau
+    delta = (lo - lo_k) % P
+    return (delta <= (hi_k - lo_k)) | ((P - delta) <= (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -278,12 +303,12 @@ class AlignmentPlan:
         # row-major order, the order of nested loops over k, then g or band
         sup = np.array(self.supports(), dtype=float).reshape(-1, 2)
         lo, hi = sup[:, :1], sup[:, 1:]
-        gaps = _gaps(lo, hi, sup[:, 0], sup[:, 1])
+        gaps = arc_gaps(lo, hi, sup[:, 0], sup[:, 1])
         # touching passes, to the rounding of the gap; interior overlap fails
         for k, g in zip(*np.nonzero(np.triu(gaps < -1e-15, 1))):
             problems.append(f"users {k},{g}: supports overlap (gap {gaps[k, g]:.3e})")
         bands = np.array(self.forbidden, dtype=float).reshape(-1, 2)
-        hits = _gaps(lo, hi, bands[:, 0], bands[:, 1]) <= 0.0
+        hits = arc_gaps(lo, hi, bands[:, 0], bands[:, 1]) <= 0.0
         for k, b in zip(*np.nonzero(hits)):
             problems.append(f"user {k}: support intersects forbidden band {self.forbidden[b]}")
         return problems
@@ -322,23 +347,6 @@ class AlignmentPlan:
             P=int(d["P"]),
             forbidden=tuple(tuple(b) for b in d.get("forbidden", ())),
         )
-
-
-def _gaps(lo_a, hi_a, lo_b, hi_b):
-    """Minimal gaps (cycles) between closed arcs [lo_a, hi_a] and [lo_b, hi_b] on the unit circle.
-
-    The arguments broadcast against each other. Positive: clear separation
-    (symmetric in the arcs). Zero: the arcs touch at a point. Negative: they
-    overlap; only the sign is meaningful then (the magnitude is a
-    direction-dependent deficit), and arcs whose widths add up to a full turn
-    get -1.
-    """
-    width_a = hi_a - lo_a
-    width_b = hi_b - lo_b
-    rel = (lo_b - lo_a) % 1.0
-    fwd = rel - width_a            # from a's end forward to b's start
-    bwd = (1.0 - rel) - width_b    # from b's end forward to a's start
-    return np.where(width_a + width_b >= 1.0, -1.0, np.minimum(fwd, bwd))
 
 
 def uniform_capacity(max_doppler):
@@ -394,7 +402,7 @@ def plan_alignment(dopplers, forbidden, P):
         return AlignmentPlan(dopplers=tuple(dopplers), shifts=shifts, P=P, forbidden=forbidden)
 
     order = sorted(range(K), key=lambda k: dopplers[k])
-    placed = []  # (lo, hi) occupied support intervals in cycles
+    placed = _Occupancy(forbidden)
     shifts = [None] * K
     for k in order:
         F = dopplers[k]
@@ -406,31 +414,146 @@ def plan_alignment(dopplers, forbidden, P):
             )
         shifts[k] = tau
         center = tau / P
-        placed.append((center - F, center + F))
+        placed.add((center - F, center + F))
     return AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P, forbidden=forbidden)
+
+
+# slack (cycles) around every free arc and blocker reach that first fit
+# searches: far above the rounding of arc ends (a few 1e-16 on values of
+# order 1), far below any support width or slot
+_ARC_MARGIN = 1e-9
+
+
+class _Occupancy:
+    """The placed supports and the forbidden bands, as disjoint arcs sorted around the circle.
+
+    An occupied arc is kept as (start, end): start = lo % 1.0 and end = start +
+    width, so an arc across 1 ends past it. Bands that overlap or touch are
+    merged into one arc. Free arc i runs from the end of occupied arc i to the
+    start of the next. Iterating yields the placed supports, as (lo, hi) in
+    cycles, in the order they were added.
+    """
+
+    def __init__(self, forbidden):
+        self._placed = []
+        merged = _merged_arcs(forbidden)
+        self._starts = [start for start, _ in merged]
+        self._ends = [end for _, end in merged]
+        # per occupied arc: its placed support, or None for a band
+        self._supports = [None] * len(merged)
+        self._widest = 0.0
+
+    def __iter__(self):
+        return iter(self._placed)
+
+    def __len__(self):
+        return len(self._placed)
+
+    def add(self, support):
+        """Occupy one placed support (lo, hi)."""
+        lo, hi = support
+        start = lo % 1.0
+        i = bisect.bisect(self._starts, start)
+        self._starts.insert(i, start)
+        self._ends.insert(i, start + (hi - lo))
+        self._supports.insert(i, support)
+        self._placed.append(support)
+        self._widest = max(self._widest, hi - lo)
+
+    def rooms(self, F, P):
+        """Integer shift ranges (first, last), ascending, holding every shift whose support may fit.
+
+        A support of half-width F fits a free arc [a, b] when its center lies in
+        [a + F, b - F]; each range holds the integers of that interval widened
+        by `_ARC_MARGIN`, as shifts in [0, P).
+        """
+        a = np.array(self._ends)
+        b = np.array(self._starts[1:] + [self._starts[0] + 1.0])
+        first = np.ceil((a + (F - _ARC_MARGIN)) * P)
+        last = np.floor((b - (F - _ARC_MARGIN)) * P)
+        room = first <= last
+        first, last = first[room], np.minimum(last[room], first[room] + (P - 1))
+        # a room may start past P, or run across it
+        turns = np.floor_divide(first, P) * P
+        first, last = (first - turns).astype(int).tolist(), (last - turns).astype(int).tolist()
+        rooms = [(lo, min(hi, P - 1)) for lo, hi in zip(first, last)]
+        rooms += [(0, hi - P) for hi in last if hi >= P]
+        return sorted(rooms)
+
+    def near(self, c0, c1, F):
+        """The placed supports that may come within `_ARC_MARGIN` of a support of half-width F centered in [c0, c1].
+
+        They are the supports that start in the circular window from
+        c0 - F - margin - (the widest support) to c1 + F + margin: placed
+        supports are disjoint, so one that starts before the window ends more
+        than the margin before the candidate's support starts.
+        """
+        reach = F + _ARC_MARGIN
+        lo, hi = c0 - reach - self._widest, c1 + reach
+        if hi - lo >= 1.0:
+            return list(self._placed)
+        x0 = lo % 1.0
+        x1 = x0 + (hi - lo)
+        hits = self._supports[bisect.bisect_left(self._starts, x0) : bisect.bisect_right(self._starts, x1)]
+        if x1 > 1.0:
+            hits += self._supports[: bisect.bisect_right(self._starts, x1 - 1.0)]
+        return [support for support in hits if support is not None]
+
+
+def _merged_arcs(arcs):
+    """Closed arcs (lo, hi) merged where they overlap or touch, as sorted [start, end] with start = lo % 1.0."""
+    merged = []
+    for start, end in sorted((lo % 1.0, lo % 1.0 + (hi - lo)) for lo, hi in arcs):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    # the last arc may run past 1 onto the first ones
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1.0:
+        merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + 1.0)
+    return merged
 
 
 def _first_fit(F, placed, forbidden, P):
     """Earliest shift whose support clears every placed support and band.
 
-    Integer shifts come first. The earliest clear integer is 0 or the first
-    integer past the end of some blocked arc (a placed support or a band,
-    widened by the user's half-width), so only those candidates are tested,
-    +-1 for rounding at the arc ends. When no integer clears, the support goes
-    to the earliest clear position just past a blocking interval's end.
+    `placed` is the `_Occupancy` of the supports placed so far and the bands.
+    Integer shifts come first. Every integer whose support could clear lies in
+    one of the rooms of the free arcs (`_Occupancy.rooms`), and in a room the
+    first clear integer is among its first three (the room's margin and the
+    rounding at the arc's end each cost at most one), so first fit tests a
+    room's integers three at a time, in order, and stops at the first room that
+    holds a clear one. A test runs `_clears` against the bands and only the
+    placed supports within reach (`_Occupancy.near`); every other support lies
+    more than `_ARC_MARGIN` away, so its gap clears whatever the rounding, and
+    the outcome is bit for bit that of testing every blocker. When no integer
+    clears, the support goes to the earliest clear position just past a
+    blocking interval's end, tested against every blocker.
     """
-    if not placed and not forbidden:
+    if not len(placed) and not forbidden:
         return 0.0
+    best = None
+    for first, last in placed.rooms(F, P):
+        if best is not None:
+            if first >= best:
+                break
+            last = min(last, best - 1)
+        for lo in range(first, last + 1, 3):
+            taus = np.arange(lo, min(lo + 2, last) + 1, dtype=float)
+            near = placed.near(taus[0] / P, taus[-1] / P, F)
+            blockers = np.array(near + list(forbidden), dtype=float).reshape(-1, 2)
+            clear = _clears(taus, F, blockers, len(near), P)
+            if clear.any():
+                best = int(taus[clear.argmax()])
+                break
+    if best is not None:
+        return float(best)
     blockers = np.array(list(placed) + list(forbidden), dtype=float)
     # where the user's support would start, just past each blocking arc
     start = (blockers[:, 1] + F) % 1.0
-    edge = np.ceil(start * P)
-    integers = np.unique(np.append((edge[:, None] + [-1.0, 0.0, 1.0]) % P, 0.0))
     fractional = np.sort((start * P) % P)
-    # first clear shift in order: the integers, then the fractional fallback
-    taus = np.concatenate((integers, fractional))
-    clear = _clears(taus, F, blockers, len(placed), P)
-    return float(taus[clear.argmax()]) if clear.any() else None
+    clear = _clears(fractional, F, blockers, len(placed), P)
+    return float(fractional[clear.argmax()]) if clear.any() else None
 
 
 def _clears(taus, F, blockers, n_placed, P):
@@ -441,6 +564,6 @@ def _clears(taus, F, blockers, n_placed, P):
     bands, which the support must not touch.
     """
     center = taus[:, None] / P
-    gap = _gaps(center - F, center + F, blockers[:, 0], blockers[:, 1])
+    gap = arc_gaps(center - F, center + F, blockers[:, 0], blockers[:, 1])
     placed_clear = (gap[:, :n_placed] >= 1e-15).all(axis=1)
     return placed_clear & (gap[:, n_placed:] > 0.0).all(axis=1)

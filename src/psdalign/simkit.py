@@ -222,12 +222,13 @@ class CirculantModel:
         self._dl = _inverse_dft_row(P, P - 1 + dl_lag)[self.support]
         self._synthesis = self._analysis = None
         # sqrt(P lam) on the bins a draw scales, complex so that its product
-        # with the white block casts nothing
+        # with the white block casts nothing: the support bins, and on the
+        # FFT branch every bin
+        self._support_scale = np.sqrt(P * self._support_lam).astype(complex)
         if self.support.size <= DFT_MAX_SUPPORT:
             slots = np.arange(P)
             self._synthesis = _dft_phases(self.support, slots, P) / P
             self._analysis = _dft_phases(slots, -self.support, P)
-            self._scale = np.sqrt(P * self._support_lam).astype(complex)
         else:
             self._scale = np.sqrt(P * self.lam).astype(complex)
 
@@ -238,27 +239,38 @@ class CirculantModel:
     def covariance(self):
         return circulant(self.column())
 
-    def draw(self, rng, M, ws=None):
-        """A ChannelDraw; the basis is the window's DFT on the support, (M, S)."""
+    def window(self, rng, M, ws=None):
+        """The (M, P) window of one draw, without its basis or downlink sample.
+
+        Its white block stays in `ws` until the next draw into it.
+        """
         ws = Workspace() if ws is None else ws
         # the full (P, M) draw, transposed: the random stream of the (P, M) layout
         white = _white(rng, (self.P, M), ws)
         window = ws.get("window", (M, self.P))
-        basis = ws.get("basis", (M, self.support.size))
         if self._synthesis is not None:
-            np.multiply(white[self.support].T, self._scale, out=basis)
-            np.matmul(basis, self._synthesis, out=window)
+            np.matmul(self._basis(white, ws), self._synthesis, out=window)
         else:
             # the spectrum, zero off the support, becomes the window in place;
             # a product straight from the transposed white block would take
             # numpy two iteration buffers, as large as the block at M=16, P=1024
             np.copyto(window, white.T)
             window *= self._scale
-            # in range, so clipping changes nothing; the default mode="raise"
-            # would copy through a temporary the size of `basis`
-            np.take(window, self.support, axis=1, out=basis, mode="clip")
             np.fft.ifft(window, out=window)
+        return window
+
+    def draw(self, rng, M, ws=None):
+        """A ChannelDraw; the basis is the window's DFT on the support, (M, S)."""
+        ws = Workspace() if ws is None else ws
+        window = self.window(rng, M, ws)
+        # the white block the window was drawn from, still in the workspace
+        basis = self._basis(ws.get("white", (self.P, M)), ws)
         return ChannelDraw(window, basis @ self._dl, basis)
+
+    def _basis(self, white, ws):
+        """The spectrum of the draw with (P, M) white block `white` on the support bins, (M, S)."""
+        basis = ws.get("basis", (white.shape[1], self.support.size))
+        return np.multiply(white[self.support].T, self._support_scale, out=basis)
 
     def estimate(self, basis, W, ws=None):
         """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W.
@@ -306,6 +318,10 @@ class ExactModel:
 
     def covariance(self):
         return self.cov.toeplitz()
+
+    def window(self, rng, M, ws=None):
+        """The (M, P) window of one draw: `draw`'s window, which is also its basis, with nothing left out."""
+        return self.draw(rng, M, ws).window
 
     def draw(self, rng, M, ws=None):
         """A ChannelDraw; the basis is the window itself."""
@@ -415,7 +431,7 @@ def _sound(s, rng, ws):
             estimates[k] = window[:, -1]
         y += np.multiply(s.tx[k], window, out=window)
     if s.cont is not None:
-        y += s.cont.draw(rng, s.M, ws).window
+        y += s.cont.window(rng, s.M, ws)
     noise = _white(rng, (s.P, s.M), ws)
     noise *= math.sqrt(s.sigma2)
     y += noise.T

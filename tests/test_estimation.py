@@ -286,6 +286,78 @@ class RecordingSpectrum:
         return self.spectrum.support()
 
 
+def unpruned():
+    """asymptotic_mse with every interferer kept, as before interferers were pruned."""
+    return mock.patch.object(estimation, "_meeting", lambda bands, interferers: interferers)
+
+
+def dyadic(rng, lo, hi):
+    """A multiple of 2^-16 in [lo, hi]: sums of a few of them are exact."""
+    return float(rng.integers(math.ceil(lo * 2**16), math.floor(hi * 2**16) + 1)) / 2**16
+
+
+def edge_case_interferer(rng, F, case):
+    """One (spectrum, shift, weight) triple at the edges of the pruning rule, for a user of half-width F.
+
+    F and the touching geometry are multiples of 2^-16, so that supports that
+    touch do so exactly: an edge one rounding inside the user's band would put
+    quadrature nodes on the user's singular edge.
+    """
+    if case == "touch":
+        # a bathtub that touches the user's band at a point, from either side, a turn away or not
+        Fg = dyadic(rng, 0.001, 0.05)
+        shift = rng.choice([-1.0, 1.0]) * (F + Fg) + rng.choice([0.0, 1.0, -1.0])
+        return DopplerSpectrum.clarke(Fg, power=rng.uniform(0.2, 2.0)), shift, rng.uniform(0.1, 3.0)
+    if case == "straddle":
+        # a flat band at the top of the axis, shifted across +-1/2, or onto the user's lower edge
+        width = dyadic(rng, 0.01, 0.2)
+        shift = rng.choice([width / 2, 0.5 - F, rng.uniform(-1.0, 1.0)])
+        return DopplerSpectrum.flat_band(0.5 - width, 0.5, power=rng.uniform(0.2, 2.0)), shift, rng.uniform(0.1, 3.0)
+    if case == "wide":
+        # a flat band wider than half the circle
+        lo = rng.uniform(-0.5, -0.1)
+        sp = DopplerSpectrum.flat_band(lo, min(0.5, lo + rng.uniform(0.55, 0.95)), power=rng.uniform(0.2, 2.0))
+        return sp, rng.uniform(-1.5, 1.5), rng.uniform(0.1, 3.0)
+    if case == "powerless":
+        # zero weight, or a spectrum of zero power (no support, nan on its edges)
+        Fg = dyadic(rng, 0.001, 0.05)
+        shift = rng.choice([F + Fg, rng.uniform(-1.0, 1.0)])
+        if rng.random() < 0.5:
+            return DopplerSpectrum.clarke(Fg), shift, 0.0
+        return DopplerSpectrum.clarke(Fg, power=0.0), shift, rng.uniform(0.1, 3.0)
+    return random_interferer(rng, rng.choice(["clarke", "flat"]))
+
+
+class TestPrunedInterferers:
+    """Dropping the interferers that do not meet the user's support changes no bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_every_interferer_kept(self, seed, count):
+        rng = np.random.default_rng(seed)
+        F = dyadic(rng, 0.001, 0.05)
+        user = DopplerSpectrum.clarke(F)
+        cases = rng.choice(["touch", "straddle", "wide", "powerless", "random"], count)
+        interferers = [edge_case_interferer(rng, F, case) for case in cases]
+        noise = rng.uniform(0.05, 2.0)
+        with np.errstate(invalid="ignore"):  # 0 times an inf density
+            got = asymptotic_mse(user, 1.0, noise, interferers)
+            with unpruned():
+                want = asymptotic_mse(user, 1.0, noise, interferers)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_keeps_touching_and_powerless_interferers_in_order(self):
+        F = 0.01
+        touching = (DopplerSpectrum.clarke(0.02), F + 0.02, 1.0)
+        apart = (DopplerSpectrum.clarke(0.02), F + 0.02 + 1e-6, 1.0)
+        across = (DopplerSpectrum.flat_band(0.4, 0.5), 0.5 - F, 1.0)  # [0.9 - F, 1 - F]: touches -F
+        powerless = (DopplerSpectrum.clarke(0.02, power=0.0), 0.3, 1.0)
+        wide = (DopplerSpectrum.flat_band(-0.5, 0.1), 0.45, 0.0)  # [-0.05, 0.55]: covers the user
+        kept = estimation._meeting([(-F, F)], [apart, touching, across, apart, powerless, wide])
+        assert kept == [touching, across, powerless, wide]
+        assert estimation._meeting([], [touching, powerless]) == [powerless]
+
+
 class TestBatchedInterference:
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
     @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from psdalign import pilots
-from psdalign.fading import DopplerSpectrum, build_covariance, grid_frequencies
+from psdalign.fading import DopplerSpectrum, arc_gaps, build_covariance, grid_frequencies
 from psdalign.pilots import (
     AlignmentPlan,
     PlanInfeasibleError,
@@ -129,6 +129,28 @@ def hermitian_toeplitz(rng, P, complex_column):
     return toeplitz(t)
 
 
+def loop_structured_norm(R_k, R_g, pkg):
+    """The row recurrence with per-row temporaries that `_structured_norm` replaced (oracle)."""
+    P = R_k.shape[0]
+    cpkg = np.conj(pkg)
+    first_col = pilots._matvec(R_k, pkg * R_g[:, 0] * cpkg[0])
+    row = pilots._matvec(R_g.T, R_k[0, :] * pkg) * cpkg
+    row = row.astype(np.result_type(row, first_col))
+    b_first = (pkg[0] * R_g[0, 1:] * cpkg[1:]).astype(row.dtype)
+    b_last = (pkg[-1] * R_g[-1, :-1] * cpkg[:-1]).astype(row.dtype)
+    a_first, a_last = R_k[:, 0], R_k[:, -1]
+    total = np.vdot(row, row).real
+    nxt = np.empty_like(row)
+    for i in range(P - 1):
+        nxt[0] = first_col[i + 1]
+        np.multiply(b_first, a_first[i + 1], out=nxt[1:])
+        nxt[1:] += row[:-1]
+        nxt[1:] -= a_last[i] * b_last
+        total += np.vdot(nxt, nxt).real
+        row, nxt = nxt, row
+    return float(np.sqrt(total))
+
+
 def counting_dense():
     """The dense product, wrapped to count its calls."""
     return mock.patch.object(pilots, "_dense_norm", wraps=pilots._dense_norm)
@@ -161,6 +183,14 @@ class TestStructuredResidual:
         assert dense.call_count == 0
         want = pilots._dense_norm(R_k, R_g, pkg) / P**1.5
         assert abs(got - want) <= 1e-12 * want
+        assert pilots._structured_norm(R_k, R_g, pkg) == loop_structured_norm(R_k, R_g, pkg)
+
+    @pytest.mark.parametrize("shift", [0, 512, 300.5])
+    def test_criterion_6_norm_bit_identical_to_the_loop(self, shift):
+        P = 1024
+        R = clarke_toeplitz(0.002, P)
+        pkg = np.ones(P) if shift == 0 else fft_pilot(shift, P).values
+        assert pilots._structured_norm(R, R, pkg) == loop_structured_norm(R, R, pkg)
 
     def test_non_toeplitz_hermitian_falls_back(self):
         rng = np.random.default_rng(3)
@@ -216,6 +246,21 @@ class TestShiftOrthogonal:
         expected = not np.any((lam_k > 0) & (np.roll(lam_g > 0, dtau)))
         assert shift_orthogonal(lam_k, lam_g, dtau) == expected
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_of_shifts_matches_each_shift(self, data):
+        P = data.draw(st.integers(8, 64))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a few runs each, some across bin 0, or no support at all
+        lam_k, lam_g = (rng.uniform(0.5, 2.0, P) * (rng.random(P) < data.draw(st.floats(0.0, 0.4))) for _ in range(2))
+        if data.draw(st.booleans()):
+            lam_g = lam_k
+        shape = data.draw(st.sampled_from([(0,), (7,), (3, 5)]))
+        dtau = np.where(rng.random(shape) < 0.5, rng.integers(-P, P, shape), rng.uniform(-P, P, shape))
+        got = shift_orthogonal(lam_k, lam_g, dtau)
+        assert got.dtype == bool and got.shape == shape
+        assert got.tolist() == np.reshape([shift_orthogonal(lam_k, lam_g, d) for d in dtau.ravel().tolist()], shape).tolist()
+
 
 class TestPlanAlignment:
     def test_uniform_shift_ladder(self):
@@ -238,7 +283,7 @@ class TestPlanAlignment:
         assert plan.pairwise_orthogonal()
         # neighbouring supports, in shift order around the circle, stay a slot apart
         sup = np.array(sorted(plan.supports()))
-        gaps = pilots._gaps(sup[:, 0], sup[:, 1], np.roll(sup[:, 0], -1), np.roll(sup[:, 1], -1))
+        gaps = arc_gaps(sup[:, 0], sup[:, 1], np.roll(sup[:, 0], -1), np.roll(sup[:, 1], -1))
         assert (gaps >= 1 / P).all()
 
     def test_capacity_formula(self):
@@ -293,7 +338,7 @@ def band_strategy(max_width):
 
 
 def circular_gap(int_a, int_b):
-    """The scalar gap between two closed arcs that `pilots._gaps` broadcast (oracle)."""
+    """The scalar gap between two closed arcs that `fading.arc_gaps` broadcasts (oracle)."""
     lo_a, hi_a = int_a
     lo_b, hi_b = int_b
     width_a = hi_a - lo_a
@@ -412,24 +457,61 @@ class TestFirstFit:
             assert plan_alignment(dopplers, bands, P).shifts == shifts
 
     def test_plans_without_scanning_the_circle(self, monkeypatch):
-        """First fit tests each user's candidate arcs in one call, not all P shifts."""
-        sizes = []
-        original = pilots._gaps
+        """Blocker tests per plan grow linearly in K: a few shifts per user, against the blockers within reach."""
+        tested = []
+        original = pilots.arc_gaps
 
         def counted(*arcs):
             gaps = original(*arcs)
-            sizes.append(gaps.size)
+            tested[-1] += gaps.size
             return gaps
 
-        monkeypatch.setattr(pilots, "_gaps", counted)
-        K, P = 40, 4096
-        dopplers = np.random.default_rng(4).uniform(0.001, 0.004, K).tolist()
-        plan = plan_alignment(dopplers, [(-0.375, 0.375)], P)
-        assert len(sizes) == K
+        monkeypatch.setattr(pilots, "arc_gaps", counted)
+        P, band = 4096, (-0.375, 0.375)
+        for K in (100, 200, 400):
+            dopplers = np.random.default_rng(K).uniform(5e-5, 1.5e-4, K).tolist()
+            tested.append(0)
+            plan = plan_alignment(dopplers, [band], P)
+            assert all(tau.is_integer() for tau in plan.shifts)
+        # the candidate-arc planner tested 3K shifts against K blockers per
+        # user, 7.3e5, 5.7e6 and 4.5e7 tests here; a quadratic count would
+        # quadruple from one K to the next
+        assert tested[1] < 3 * tested[0] and tested[2] < 3 * tested[1]
+        assert tested[2] <= 20 * 400
         assert plan.is_valid()
-        assert len(sizes) == K + 2  # validate: the user pairs, then the bands
-        # scanning would test P shifts against every blocker of every user
-        assert sum(sizes) < P * K
+
+    @pytest.mark.parametrize("K", [200, 400])
+    def test_large_mixed_doppler_sets_match_the_scan(self, K):
+        """First fit against the integer scan at sampled steps of a 200- and a 400-user plan.
+
+        Each sampled step gives the scan the supports placed so far; the scan
+        costs O(K^2) a step, so the whole plan would take seconds.
+        """
+        P, bands = 4096, ((0.45, 0.55),)
+        dopplers = np.random.default_rng(K).uniform(5e-5, 1.5e-4, K).tolist()
+        sampled = set(range(0, K, K // 8)) | {K - 2, K - 1}
+        steps = []
+        original = pilots._first_fit
+
+        def recording(F, placed, forbidden, P):
+            tau = original(F, placed, forbidden, P)
+            if len(placed) in sampled:
+                steps.append((F, list(placed), tau))
+            return tau
+
+        with mock.patch.object(pilots, "_first_fit", recording):
+            plan = plan_alignment(dopplers, bands, P)
+        assert plan.is_valid() and len(steps) == len(sampled)
+        for F, placed, tau in steps:
+            assert scan_first_fit(F, placed, bands, P) == tau
+
+    def test_occupancy_merges_wrapping_bands(self):
+        # bands that overlap, nest, touch and wrap past 1 become disjoint arcs
+        occupied = pilots._Occupancy(((0.9, 1.05), (-0.02, 0.01), (0.2, 0.3), (0.25, 0.28), (0.3, 0.35)))
+        assert list(zip(occupied._starts, occupied._ends)) == pytest.approx([(0.2, 0.35), (0.9, 1.05)])
+        assert len(occupied) == 0 and list(occupied) == []
+        # the free arcs (0.05, 0.2) and (0.35, 0.9), as the integer shifts whose supports may fit
+        assert occupied.rooms(0.01, 100) == [(6, 19), (36, 89)]
 
 
 class TestSupportRuns:
@@ -566,8 +648,8 @@ class TestSupportMasks:
         assert plan.pairwise_orthogonal()
 
 def gap(int_a, int_b):
-    """`pilots._gaps` of two single arcs, as a float."""
-    return float(pilots._gaps(*int_a, *int_b))
+    """`arc_gaps` of two single arcs, as a float."""
+    return float(arc_gaps(*int_a, *int_b))
 
 
 @st.composite
@@ -683,7 +765,7 @@ class TestCircularGeometry:
         # drawn pairs on the diagonal, as `validate` broadcasts them
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
-        got = pilots._gaps(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
+        got = arc_gaps(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
         want = [[circular_gap(int_a, int_b) for int_b in b.tolist()] for int_a in a.tolist()]
         assert got.tolist() == want
         assert [gap(int_a, int_b) for int_a, int_b in pairs] == np.diag(want).tolist()

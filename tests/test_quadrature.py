@@ -150,3 +150,15 @@ def test_asymptotic_mse_bit_identical_to_the_recursion(seed):
     with mock.patch.object(estimation, "adaptive_gl", recursive_adaptive_gl):
         expected = estimation.asymptotic_mse(spectrum, 1.0, 0.1, interferers)
     assert got == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_asymptotic_mse_pruned_bit_identical_to_every_interferer(seed):
+    spectrum, interferers = bench_like_scene(seed)
+    got = estimation.asymptotic_mse(spectrum, 1.0, 0.1, interferers)
+    with mock.patch.object(estimation, "_meeting", lambda bands, interferers: interferers):
+        expected = estimation.asymptotic_mse(spectrum, 1.0, 0.1, interferers)
+    assert got == expected
+    if seed % 2 == 0:
+        # a planned user meets at most its two neighbours and the contamination band
+        assert len(estimation._meeting(spectrum.support(), interferers)) <= 3

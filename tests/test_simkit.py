@@ -156,6 +156,15 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < s.M * s.P * np.dtype(complex).itemsize
 
+    def test_contamination_leaves_no_basis(self):
+        # the contamination's window is all a trial reads of it: its FFT-branch
+        # draw would gather a 16 x 4096 basis (1 MB) into the workspace
+        s = simkit._setup(ExperimentConfig(), 4096)
+        assert s.cont._synthesis is None
+        ws = simkit.Workspace()
+        simkit._sound(s, np.random.default_rng(0), ws)
+        assert ws._buffers["basis"].size == s.M * s.user.support.size
+
 
 class TestUplinkStatistics:
     def test_single_user_matches_matrix_oracle(self):
@@ -378,6 +387,20 @@ class TestChannelDraws:
         np.testing.assert_allclose(draw.downlink, downlink, rtol=0, atol=1e-14)
         if name == "exact":
             assert np.array_equal(draw.window.T, window)
+
+
+# at P=512 a Clarke user of F=0.03 has 31 support bins (the restricted DFT), of F=0.0315 33 (the FFTs)
+@pytest.mark.parametrize("name,F,fft", [("circulant", 0.03, False), ("circulant", 0.0315, True), ("exact", 0.03, False)])
+def test_window_alone_is_the_draws_window(name, F, fft):
+    P, M = 512, 3
+    model = simkit._MODELS[name](DopplerSpectrum.clarke(F), P, 1)
+    if name == "circulant":
+        assert (model._synthesis is None) == fft
+    rng, other = np.random.default_rng(9), np.random.default_rng(9)
+    window = model.window(rng, M).copy()
+    assert np.array_equal(window, model.draw(other, M).window)
+    # the same random stream, to the last draw
+    assert rng.random() == other.random()
 
 
 class TestCirculantSupport:
