@@ -14,7 +14,15 @@ import numpy as np
 
 from . import estimation
 from .fading import DopplerSpectrum, build_covariance, complex_normal
-from .pilots import fft_pilot, orthogonality_residual, plan_alignment, shift_orthogonal
+from .pilots import (
+    EIGENVALUE_FLOOR_REL,
+    _runs_overlap,
+    _support_runs,
+    fft_pilot,
+    orthogonality_residual,
+    plan_alignment,
+    shift_orthogonal,
+)
 from .simkit import ExactModel
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
@@ -108,10 +116,12 @@ def criterion_09_capacity_rule():
     F, P, K = 0.002, 4096, 249
     plan = plan_alignment([F] * K, [], P)
     lam = DopplerSpectrum.clarke(F).sample_eigenvalues(P)
-    # every pair k < g at once: the shift differences shifts[g] - shifts[k]
+    # shift_orthogonal for every pair k < g at once: each pair of support runs
+    # against all the shift differences shifts[g] - shifts[k]
     k, g = np.triu_indices(K, 1)
     shifts = np.array(plan.shifts)
-    pairwise = bool(shift_orthogonal(lam, lam, shifts[g] - shifts[k]).all())
+    runs = _support_runs(lam, EIGENVALUE_FLOOR_REL)
+    pairwise = not any(_runs_overlap(a, b, shifts[g] - shifts[k], P).any() for a in runs for b in runs)
     yield Check("capacity_users_packed[P=4096]", float(plan.K), ">=", 249)
     yield _holds("capacity_plan_valid", plan.is_valid() and plan.pairwise_orthogonal())
     yield _holds("capacity_pairs_shift_orthogonal", pairwise)

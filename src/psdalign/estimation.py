@@ -11,14 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fading import arc_gaps, stacked_psd
+from .fading import ARC_MARGIN, arc_gaps, stacked_psd
 from .quadrature import adaptive_gl
-
-
-# an interferer is kept when a band of it comes within this many cycles of the
-# user's own support: far above the rounding of shifted band edges (a few
-# 1e-16 on values of order 1), so rounding can only keep one, never drop it
-_MEET_MARGIN = 1e-9
 
 
 class SingularSceneError(np.linalg.LinAlgError):
@@ -197,7 +191,7 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
     only smooth integrands.
 
     Only the interferers that can be nonzero on the user's own support enter
-    (`_meeting`): one whose shifted bands all lie more than `_MEET_MARGIN` away
+    (`_meeting`): one whose shifted bands all lie more than `ARC_MARGIN` away
     from the user's closed bands on the circle is 0.0 at every quadrature node,
     since the nodes lie on the user's support, and none of its edges falls
     inside a panel; so dropping it changes no bit, and under a valid plan the
@@ -251,7 +245,7 @@ def _meeting(bands, interferers):
     """The (S_g, shift_g, rho_g) interferers, in order, that can be nonzero on the closed `bands`.
 
     One is kept when one of S_g's closed bands, shifted by shift_g, comes within
-    `_MEET_MARGIN` of one of `bands` on the circle (touching counts), and when
+    `ARC_MARGIN` of one of `bands` on the circle (touching counts), and when
     S_g has no band at all: a powerless bathtub still reads 0 * inf = nan on
     its edges.
     """
@@ -260,7 +254,7 @@ def _meeting(bands, interferers):
         return interferers
     owners, lo, hi = (np.array(column) for column in zip(*rows))
     own = np.array(bands, dtype=float).reshape(-1, 2)
-    meets = (arc_gaps(own[:, :1], own[:, 1:], lo, hi) <= _MEET_MARGIN).any(axis=0)
+    meets = (arc_gaps(own[:, :1], own[:, 1:], lo, hi) <= ARC_MARGIN).any(axis=0)
     keep = np.ones(len(interferers), dtype=bool)
     keep[owners] = False
     keep[owners[meets]] = True

@@ -81,6 +81,13 @@ def grid_frequencies(P):
     return np.where(xi > 0.5, xi - 1.0, xi)
 
 
+# slack (cycles) for arc tests that must err one way under rounding: far
+# above the rounding of shifted arc ends (a few 1e-16 on values of order 1)
+# and far below any support width or slot, so rounding can only add to what
+# is tested (an interferer kept, a candidate shift tried), never take away
+ARC_MARGIN = 1e-9
+
+
 def arc_gaps(lo_a, hi_a, lo_b, hi_b):
     """Minimal gaps (cycles) between closed arcs [lo_a, hi_a] and [lo_b, hi_b] on the unit circle.
 

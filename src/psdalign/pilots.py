@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import arc_gaps, grid_frequencies
+from .fading import ARC_MARGIN, arc_gaps, grid_frequencies
 
 # support detection threshold, relative to the largest eigenvalue
 EIGENVALUE_FLOOR_REL = 1e-10
@@ -229,11 +229,6 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     floor_rel * max. For integer dtau this coincides with elementwise
     disjointness of the rolled eigenvalue masks; fractional shifts compare the
     same intervals translated on the circle.
-
-    An array of shifts (a numpy array of one or more dimensions) gives a
-    boolean array of its shape, each entry the answer for that shift: the runs
-    are found once, and each pair of runs is tested against every shift in one
-    array expression.
     """
     same = lam_g is lam_k
     lam_k = np.asarray(lam_k, dtype=float)
@@ -244,12 +239,6 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     runs_k = _support_runs(lam_k, floor_rel)
     # one spectrum against itself (equal-Doppler users): its runs once
     runs_g = runs_k if same else _support_runs(lam_g, floor_rel)
-    if isinstance(dtau, np.ndarray) and dtau.ndim:
-        overlap = np.zeros(dtau.shape, dtype=bool)
-        for run_k in runs_k:
-            for run_g in runs_g:
-                overlap |= _runs_overlap(run_k, run_g, dtau, P)
-        return ~overlap
     for run_k in runs_k:
         for run_g in runs_g:
             if _runs_overlap(run_k, run_g, dtau, P):
@@ -418,12 +407,6 @@ def plan_alignment(dopplers, forbidden, P):
     return AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P, forbidden=forbidden)
 
 
-# slack (cycles) around every free arc and blocker reach that first fit
-# searches: far above the rounding of arc ends (a few 1e-16 on values of
-# order 1), far below any support width or slot
-_ARC_MARGIN = 1e-9
-
-
 class _Occupancy:
     """The placed supports and the forbidden bands, as disjoint arcs sorted around the circle.
 
@@ -439,9 +422,6 @@ class _Occupancy:
         merged = _merged_arcs(forbidden)
         self._starts = [start for start, _ in merged]
         self._ends = [end for _, end in merged]
-        # per occupied arc: its placed support, or None for a band
-        self._supports = [None] * len(merged)
-        self._widest = 0.0
 
     def __iter__(self):
         return iter(self._placed)
@@ -456,21 +436,19 @@ class _Occupancy:
         i = bisect.bisect(self._starts, start)
         self._starts.insert(i, start)
         self._ends.insert(i, start + (hi - lo))
-        self._supports.insert(i, support)
         self._placed.append(support)
-        self._widest = max(self._widest, hi - lo)
 
     def rooms(self, F, P):
         """Integer shift ranges (first, last), ascending, holding every shift whose support may fit.
 
         A support of half-width F fits a free arc [a, b] when its center lies in
         [a + F, b - F]; each range holds the integers of that interval widened
-        by `_ARC_MARGIN`, as shifts in [0, P).
+        by `ARC_MARGIN`, as shifts in [0, P).
         """
         a = np.array(self._ends)
         b = np.array(self._starts[1:] + [self._starts[0] + 1.0])
-        first = np.ceil((a + (F - _ARC_MARGIN)) * P)
-        last = np.floor((b - (F - _ARC_MARGIN)) * P)
+        first = np.ceil((a + (F - ARC_MARGIN)) * P)
+        last = np.floor((b - (F - ARC_MARGIN)) * P)
         room = first <= last
         first, last = first[room], np.minimum(last[room], first[room] + (P - 1))
         # a room may start past P, or run across it
@@ -479,25 +457,6 @@ class _Occupancy:
         rooms = [(lo, min(hi, P - 1)) for lo, hi in zip(first, last)]
         rooms += [(0, hi - P) for hi in last if hi >= P]
         return sorted(rooms)
-
-    def near(self, c0, c1, F):
-        """The placed supports that may come within `_ARC_MARGIN` of a support of half-width F centered in [c0, c1].
-
-        They are the supports that start in the circular window from
-        c0 - F - margin - (the widest support) to c1 + F + margin: placed
-        supports are disjoint, so one that starts before the window ends more
-        than the margin before the candidate's support starts.
-        """
-        reach = F + _ARC_MARGIN
-        lo, hi = c0 - reach - self._widest, c1 + reach
-        if hi - lo >= 1.0:
-            return list(self._placed)
-        x0 = lo % 1.0
-        x1 = x0 + (hi - lo)
-        hits = self._supports[bisect.bisect_left(self._starts, x0) : bisect.bisect_right(self._starts, x1)]
-        if x1 > 1.0:
-            hits += self._supports[: bisect.bisect_right(self._starts, x1 - 1.0)]
-        return [support for support in hits if support is not None]
 
 
 def _merged_arcs(arcs):
@@ -523,15 +482,14 @@ def _first_fit(F, placed, forbidden, P):
     first clear integer is among its first three (the room's margin and the
     rounding at the arc's end each cost at most one), so first fit tests a
     room's integers three at a time, in order, and stops at the first room that
-    holds a clear one. A test runs `_clears` against the bands and only the
-    placed supports within reach (`_Occupancy.near`); every other support lies
-    more than `_ARC_MARGIN` away, so its gap clears whatever the rounding, and
-    the outcome is bit for bit that of testing every blocker. When no integer
-    clears, the support goes to the earliest clear position just past a
-    blocking interval's end, tested against every blocker.
+    holds a clear one. Each test runs `_clears` against every placed support
+    and band, so a user costs a few tests of three shifts, not a scan of the
+    circle. When no integer clears, the support goes to the earliest clear
+    position just past a blocking interval's end.
     """
     if not len(placed) and not forbidden:
         return 0.0
+    blockers = np.array(list(placed) + list(forbidden), dtype=float)
     best = None
     for first, last in placed.rooms(F, P):
         if best is not None:
@@ -540,15 +498,12 @@ def _first_fit(F, placed, forbidden, P):
             last = min(last, best - 1)
         for lo in range(first, last + 1, 3):
             taus = np.arange(lo, min(lo + 2, last) + 1, dtype=float)
-            near = placed.near(taus[0] / P, taus[-1] / P, F)
-            blockers = np.array(near + list(forbidden), dtype=float).reshape(-1, 2)
-            clear = _clears(taus, F, blockers, len(near), P)
+            clear = _clears(taus, F, blockers, len(placed), P)
             if clear.any():
                 best = int(taus[clear.argmax()])
                 break
     if best is not None:
         return float(best)
-    blockers = np.array(list(placed) + list(forbidden), dtype=float)
     # where the user's support would start, just past each blocking arc
     start = (blockers[:, 1] + F) % 1.0
     fractional = np.sort((start * P) % P)

@@ -240,32 +240,35 @@ class CirculantModel:
         return circulant(self.column())
 
     def window(self, rng, M, ws=None):
-        """The (M, P) window of one draw, without its basis or downlink sample.
-
-        Its white block stays in `ws` until the next draw into it.
-        """
-        ws = Workspace() if ws is None else ws
-        # the full (P, M) draw, transposed: the random stream of the (P, M) layout
-        white = _white(rng, (self.P, M), ws)
-        window = ws.get("window", (M, self.P))
-        if self._synthesis is not None:
-            np.matmul(self._basis(white, ws), self._synthesis, out=window)
-        else:
-            # the spectrum, zero off the support, becomes the window in place;
-            # a product straight from the transposed white block would take
-            # numpy two iteration buffers, as large as the block at M=16, P=1024
-            np.copyto(window, white.T)
-            window *= self._scale
-            np.fft.ifft(window, out=window)
-        return window
+        """The (M, P) window of one draw, without its downlink sample; the FFT branch forms no basis."""
+        return self._window(rng, M, Workspace() if ws is None else ws)[0]
 
     def draw(self, rng, M, ws=None):
         """A ChannelDraw; the basis is the window's DFT on the support, (M, S)."""
         ws = Workspace() if ws is None else ws
-        window = self.window(rng, M, ws)
-        # the white block the window was drawn from, still in the workspace
-        basis = self._basis(ws.get("white", (self.P, M)), ws)
+        window, basis = self._window(rng, M, ws)
+        if basis is None:
+            # the FFT branch formed the window without it: gather it from the
+            # white block, still in the workspace
+            basis = self._basis(ws.get("white", (self.P, M)), ws)
         return ChannelDraw(window, basis @ self._dl, basis)
+
+    def _window(self, rng, M, ws):
+        """The (M, P) window of one draw, and the basis it was formed from (None on the FFT branch)."""
+        # the full (P, M) draw, transposed: the random stream of the (P, M) layout
+        white = _white(rng, (self.P, M), ws)
+        window = ws.get("window", (M, self.P))
+        if self._synthesis is not None:
+            basis = self._basis(white, ws)
+            np.matmul(basis, self._synthesis, out=window)
+            return window, basis
+        # the spectrum, zero off the support, becomes the window in place;
+        # a product straight from the transposed white block would take
+        # numpy two iteration buffers, as large as the block at M=16, P=1024
+        np.copyto(window, white.T)
+        window *= self._scale
+        np.fft.ifft(window, out=window)
+        return window, None
 
     def _basis(self, white, ws):
         """The spectrum of the draw with (P, M) white block `white` on the support bins, (M, S)."""

@@ -248,18 +248,20 @@ class TestShiftOrthogonal:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_array_of_shifts_matches_each_shift(self, data):
+    def test_run_overlap_of_an_array_of_shifts_matches_each_shift(self, data):
+        """`_runs_overlap` over an array of shifts, as criterion 9 batches it, against `shift_orthogonal` per shift."""
         P = data.draw(st.integers(8, 64))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # a few runs each, some across bin 0, or no support at all
         lam_k, lam_g = (rng.uniform(0.5, 2.0, P) * (rng.random(P) < data.draw(st.floats(0.0, 0.4))) for _ in range(2))
-        if data.draw(st.booleans()):
-            lam_g = lam_k
         shape = data.draw(st.sampled_from([(0,), (7,), (3, 5)]))
         dtau = np.where(rng.random(shape) < 0.5, rng.integers(-P, P, shape), rng.uniform(-P, P, shape))
-        got = shift_orthogonal(lam_k, lam_g, dtau)
-        assert got.dtype == bool and got.shape == shape
-        assert got.tolist() == np.reshape([shift_orthogonal(lam_k, lam_g, d) for d in dtau.ravel().tolist()], shape).tolist()
+        overlap = np.zeros(shape, dtype=bool)
+        for run_k in pilots._support_runs(lam_k, pilots.EIGENVALUE_FLOOR_REL):
+            for run_g in pilots._support_runs(lam_g, pilots.EIGENVALUE_FLOOR_REL):
+                overlap |= pilots._runs_overlap(run_k, run_g, dtau, P)
+        expected = [shift_orthogonal(lam_k, lam_g, d) for d in dtau.ravel().tolist()]
+        assert (~overlap).ravel().tolist() == expected
 
 
 class TestPlanAlignment:
@@ -457,28 +459,29 @@ class TestFirstFit:
             assert plan_alignment(dopplers, bands, P).shifts == shifts
 
     def test_plans_without_scanning_the_circle(self, monkeypatch):
-        """Blocker tests per plan grow linearly in K: a few shifts per user, against the blockers within reach."""
-        tested = []
+        """First fit tests a few shifts per user, not the circle; validate makes two broadcast calls."""
+        shapes = []
         original = pilots.arc_gaps
 
         def counted(*arcs):
             gaps = original(*arcs)
-            tested[-1] += gaps.size
+            shapes.append(gaps.shape)
             return gaps
 
         monkeypatch.setattr(pilots, "arc_gaps", counted)
         P, band = 4096, (-0.375, 0.375)
         for K in (100, 200, 400):
             dopplers = np.random.default_rng(K).uniform(5e-5, 1.5e-4, K).tolist()
-            tested.append(0)
+            shapes.clear()
             plan = plan_alignment(dopplers, [band], P)
             assert all(tau.is_integer() for tau in plan.shifts)
-        # the candidate-arc planner tested 3K shifts against K blockers per
-        # user, 7.3e5, 5.7e6 and 4.5e7 tests here; a quadratic count would
-        # quadruple from one K to the next
-        assert tested[1] < 3 * tested[0] and tested[2] < 3 * tested[1]
-        assert tested[2] <= 20 * 400
-        assert plan.is_valid()
+            # one call per shift test, of up to three shifts against every
+            # blocker; the candidate-arc planner tested 3K shifts a user
+            shifts_tested = sum(rows for rows, _ in shapes)
+            assert shifts_tested <= 6 * K
+            shapes.clear()
+            assert plan.is_valid()
+            assert len(shapes) == 2  # validate: the user pairs, then the bands
 
     @pytest.mark.parametrize("K", [200, 400])
     def test_large_mixed_doppler_sets_match_the_scan(self, K):
