@@ -3,14 +3,10 @@
 from .config import ExperimentConfig
 from .estimation import (
     EstimationReport,
-    Interferer,
     SingularSceneError,
-    UplinkScene,
-    UplinkUser,
     asymptotic_mse,
     clarke_closed_form,
     error_covariance,
-    interference_free_mse,
     mmse_estimate,
     mse_from_eigenvalues,
     processing_gain_db,

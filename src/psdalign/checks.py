@@ -24,6 +24,7 @@ from .pilots import (
     shift_orthogonal,
 )
 from .simkit import ExactModel
+from .toeplitz import ToeplitzInverse
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -128,18 +129,22 @@ def criterion_09_capacity_rule():
 
 
 def criterion_10a_orthogonality_principle():
-    """Monte-Carlo: the MMSE error is uncorrelated with the observation (max |z| over entries)."""
+    """Monte-Carlo: the MMSE error is uncorrelated with the observation (max |z| over entries).
+
+    The estimate is the simulator's: the Toeplitz solve of `simkit._setup`'s
+    PSD-aligned branch, then the exact model's Toeplitz product.
+    """
     P, draws = 16, 500
     model = ExactModel(DopplerSpectrum.clarke(0.05), P)
-    users = tuple(estimation.UplinkUser(1.0, fft_pilot(shift, P), model.cov) for shift in (0, P // 2))
-    scene = estimation.UplinkScene(users=users, noise_var=1.0)
-    x0, x1 = (user.pilot.values for user in users)
+    x0, x1 = (fft_pilot(shift, P).values for shift in (0, P // 2))
+    r = model.column()
+    inverse = ToeplitzInverse(estimation.observation_column(P, 1.0, [(1.0, r, x0), (1.0, r, x1)]))
     acc = np.zeros((P, P), dtype=complex)
     acc2 = np.zeros((P, P))
     for t in range(draws):
         h0, h1 = (model.draw(np.random.default_rng((50, t, k)), 1).window[0] for k in (0, 1))
         y = x0 * h0 + x1 * h1 + complex_normal(np.random.default_rng((50, t, 2)), (P,))
-        outer = np.outer(h0 - estimation.mmse_estimate(y, scene, 0), np.conj(y))
+        outer = np.outer(h0 - model.toeplitz.matvec(np.conj(x0) * inverse.solve(y)), np.conj(y))
         acc += outer
         acc2 += np.abs(outer) ** 2
     mean = acc / draws

@@ -105,21 +105,25 @@ def _sweep(config, out_dir, downlink):
     if not config.sweep_lengths:
         print("empty sweep axis: run.sweep_lengths has no entries", file=sys.stderr)
         return EXIT_USAGE
-    # both schemes run at every P: reject a baseline that cannot run before any trial does
+    # both schemes report at every P: reject a baseline that cannot run before any trial does
     try:
-        configs = [replace(config, scheme=scheme) for scheme in ("psd_align", "hadamard")]
+        aligned, hadamard = (replace(config, scheme=scheme) for scheme in ("psd_align", "hadamard"))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     runner = simkit.run_downlink if downlink else simkit.run_uplink
-    results = []
+    results, baseline = [], None
     for P in config.sweep_lengths:
-        for cfg in configs:
-            try:
-                results.append(runner(cfg, P=P))
-            except pilots.PlanInfeasibleError as exc:
-                print(f"aborting sweep: {exc}", file=sys.stderr)
-                return EXIT_FAIL
+        try:
+            results.append(runner(aligned, P=P))
+        except pilots.PlanInfeasibleError as exc:
+            print(f"aborting sweep: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        # the baseline's window is one slot per user whatever P, and its seeds
+        # carry that length: one run serves every sweep length
+        if baseline is None:
+            baseline = runner(hadamard, P=P)
+        results.append(baseline)
     simkit.write_mse_csv(results, os.path.join(out_dir, "mse.csv"))
     simkit.write_gain_csv(results, os.path.join(out_dir, "gain.csv"))
     if downlink:

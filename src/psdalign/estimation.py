@@ -1,8 +1,14 @@
 """Linear MMSE channel estimation and its mean-square-error analytics.
 
-Three routes to the per-element MSE coexist and cross-check each other:
-exact finite-P matrix evaluation, the eigenvalue-domain expression the
-large-P analysis rests on, and closed forms for the bathtub spectrum.
+A sounding scene is a list of (power, covariance, pilot) terms, one per
+source: `observation_matrix` sums them densely and `observation_column`
+gives the Toeplitz first column the simulator's solver takes. The dense
+routines on those terms, `mmse_estimate` and `error_covariance` (Cholesky
+of the P x P observation covariance), are the tests' oracle for that solver.
+
+Three routes to the per-element MSE cross-check each other: that exact
+finite-P matrix evaluation, the eigenvalue-domain expression the large-P
+analysis rests on, and closed forms for the bathtub spectrum.
 """
 
 import math
@@ -17,53 +23,6 @@ from .quadrature import adaptive_gl
 
 class SingularSceneError(np.linalg.LinAlgError):
     """Noise-free scene with rank-deficient covariances; caller must regularize."""
-
-
-@dataclass(frozen=True)
-class UplinkUser:
-    """A sounded user: transmit power, pilot sequence, channel covariance."""
-
-    power: float
-    pilot: object
-    covariance: object
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("user power must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Interferer:
-    """A process received without being estimated (e.g. other-cell sounding).
-
-    `pilot` is optional: contamination that is not pilot-modulated enters the
-    observation covariance directly.
-    """
-
-    power: float
-    covariance: object
-    pilot: object = None
-
-
-@dataclass(frozen=True)
-class UplinkScene:
-    """Everything the base station knows about one sounding occasion."""
-
-    users: tuple
-    noise_var: float
-    interferers: tuple = ()
-
-    def __post_init__(self):
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
-        lengths = {u.pilot.P for u in self.users} | {u.covariance.P for u in self.users}
-        lengths |= {i.covariance.P for i in self.interferers}
-        if len(lengths) != 1:
-            raise ValueError(f"inconsistent lengths in scene: {sorted(lengths)}")
-
-    @property
-    def P(self):
-        return self.users[0].pilot.P
 
 
 def observation_matrix(P, noise_var, terms):
@@ -97,19 +56,12 @@ def observation_column(P, noise_var, terms):
     return a
 
 
-def observation_covariance(scene):
-    """E[y y^H]: noise + every pilot-modulated user + interferers."""
-    sources = (*scene.users, *scene.interferers)
-    terms = ((u.power, u.covariance.toeplitz(), None if u.pilot is None else u.pilot.values) for u in sources)
-    return observation_matrix(scene.P, scene.noise_var, terms)
-
-
-def _factor_observation(scene):
-    A = observation_covariance(scene)
+def _factor_observation(noise_var, terms):
+    A = observation_matrix(len(terms[0][1]), noise_var, terms)
     try:
         return cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
-        if scene.noise_var == 0:
+        if noise_var == 0:
             raise SingularSceneError(
                 "observation covariance is singular at zero noise; add noise or "
                 "use full-rank covariances"
@@ -117,51 +69,39 @@ def _factor_observation(scene):
         raise
 
 
-def mmse_estimate(y, scene, k):
-    """Linear MMSE estimate of user k's channel vector from observation(s) y.
+def mmse_estimate(y, noise_var, terms, k):
+    """Linear MMSE estimate of the channel of term k from observation(s) y.
 
+    `terms` are the (power, R, x) terms of `observation_matrix`, with dense
+    P x P covariances R; term k is the estimated source and carries a pilot.
     y may be a length-P vector or a (P, M) block of per-antenna observations;
     the estimate has the same shape.
     """
+    power, R, x = terms[k]
     y = np.asarray(y, dtype=complex)
     single = y.ndim == 1
     Y = y[:, None] if single else y
-    if Y.shape[0] != scene.P:
+    if Y.shape[0] != len(R):
         raise ValueError("observation length does not match the scene")
-    factor = _factor_observation(scene)
-    user = scene.users[k]
-    Z = cho_solve(factor, Y)
-    W = np.conj(user.pilot.values)[:, None] * Z
-    est = math.sqrt(user.power) * (user.covariance.toeplitz() @ W)
+    Z = cho_solve(_factor_observation(noise_var, terms), Y)
+    est = math.sqrt(power) * (R @ (np.conj(x)[:, None] * Z))
     return est[:, 0] if single else est
 
 
-def error_covariance(scene, k):
-    """Exact error covariance of user k's MMSE estimate and its trace/P.
+def error_covariance(noise_var, terms, k):
+    """Exact error covariance of the MMSE estimate of term k and its trace/P.
 
-    Evaluates R - rho R X^H (E[y y^H])^{-1} X R on the exact Toeplitz
-    covariances. With no other users and no interferers this is the
+    Evaluates R - rho R X^H (E[y y^H])^{-1} X R on the (power, R, x) terms of
+    `observation_matrix`, with dense P x P covariances R. With term k alone,
+    `error_covariance(noise_var, [terms[k]], 0)`, this is the
     interference-free expression.
     """
-    user = scene.users[k]
-    R = user.covariance.toeplitz()
-    factor = _factor_observation(scene)
-    B = user.pilot.values[:, None] * R  # X R; its adjoint is R X^H
-    E = R - user.power * (B.conj().T @ cho_solve(factor, B))
+    power, R, x = terms[k]
+    B = x[:, None] * R  # X R; its adjoint is R X^H
+    E = R - power * (B.conj().T @ cho_solve(_factor_observation(noise_var, terms), B))
     # symmetrize away factorization round-off
     E = 0.5 * (E + E.conj().T)
-    return E, float(np.real(np.trace(E))) / scene.P
-
-
-def interference_free_scene(scene, k):
-    """The same scene reduced to user k alone (no other users, no interferers)."""
-    return UplinkScene(users=(scene.users[k],), noise_var=scene.noise_var)
-
-
-def interference_free_mse(scene, k):
-    """trace/P of the single-user error covariance for user k."""
-    _, mse = error_covariance(interference_free_scene(scene, k), 0)
-    return mse
+    return E, float(np.real(np.trace(E))) / len(R)
 
 
 def mse_from_eigenvalues(lam, power, noise_var, interference=None):
@@ -210,7 +150,12 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
     def integrand(xi):
         S = spectrum.psd(_wrap(xi))
         denom = S * power + interference(xi) + noise_var
-        return np.divide(S * S * power, denom, out=np.zeros_like(S), where=denom > 0)
+        # a node that rounds onto the user's own bathtub edge reads inf/inf;
+        # it counts 0 rather than a nan that no panel around it could converge
+        # on, which costs one node's weight of a bounded value (S half cos(theta)
+        # stays finite under the arcsine substitution)
+        finite = (denom > 0) & (denom < np.inf)
+        return np.divide(S * S * power, denom, out=np.zeros_like(S), where=finite)
 
     edges = {e for band in own for e in band}
     shifted = [e + shift for sp, shift, _ in interferers for band in sp.support() for e in band]

@@ -18,7 +18,6 @@ r(v) = E[h(n+v) conj(h(n))], so a positive-frequency tone has a positively
 rotating autocorrelation. Covariances pair as E[h h^H](l, l') = r(l - l').
 """
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,11 +26,6 @@ from scipy.linalg import toeplitz
 from scipy.special import j0
 
 from .quadrature import oscillatory_nodes
-
-log = logging.getLogger(__name__)
-
-# warn when clamping negative eigenvalues moves more than this fraction of P
-CLAMP_WARN_FRACTION = 1e-3
 
 
 def _bathtub(F, F2, x):
@@ -241,15 +235,7 @@ class ChannelCovariance:
 
     @cached_property
     def eigenvalues(self):
-        lam = np.fft.fft(self.circulant_column).real
-        clamped = np.clip(lam, 0.0, None)
-        mass = float(clamped.sum() - lam.sum())
-        if mass >= CLAMP_WARN_FRACTION * self.P:
-            log.warning(
-                "clamping negative circulant eigenvalues moved %.3g of mass "
-                "(%.2e per slot) for P=%d", mass, mass / self.P, self.P,
-            )
-        return clamped
+        return np.clip(np.fft.fft(self.circulant_column).real, 0.0, None)
 
     def toeplitz(self):
         """Materialize the exact P x P Toeplitz covariance E[h h^H].

@@ -41,10 +41,6 @@ class PilotSequence:
         if dev > _UNIT_MODULUS_TOL:
             raise ValueError(f"pilot entries must have unit modulus (max deviation {dev:.2e})")
 
-    @property
-    def P(self):
-        return len(self.values)
-
 
 def fft_pilot(shift, P):
     """Cyclic-shift pilot x(n) = exp(2j*pi*shift*n/P).
@@ -87,8 +83,9 @@ def orthogonality_residual(R_k, R_g, pkg):
     `pkg` is a constant-modulus exponential ramp (equal consecutive ratios, to
     the rounding of computed phases), the product has displacement rank 2 and
     its norm takes O(P^2) time and O(P) memory (`_structured_norm`); that
-    covers the cyclic-shift pilots of criterion 6 and `validate`. Every other
-    input forms the dense O(P^3) product (`_dense_norm`, also the tests' oracle).
+    covers the cyclic-shift pilots of criterion 6, the one caller in the
+    package. Every other input forms the dense O(P^3) product (`_dense_norm`,
+    also the tests' oracle).
     """
     R_k = np.asarray(R_k)
     R_g = np.asarray(R_g)

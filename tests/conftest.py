@@ -1,4 +1,3 @@
-import logging
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,10 +6,6 @@ import pytest
 
 from psdalign import checks, pilots
 from psdalign.simkit import ExperimentConfig, run_downlink
-
-# the circulant-model warning about clamped eigenvalue mass fires by design
-# for the default scenario; keep it out of the test logs except where asserted
-logging.getLogger("psdalign.fading").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="session")

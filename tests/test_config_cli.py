@@ -1,8 +1,11 @@
+import logging
 import os
+from unittest import mock
 
 import pytest
 import yaml
 
+from psdalign import simkit
 from psdalign.cli import main
 from psdalign.config import ConfigError, config_from_mapping, config_to_mapping, dump_config, load_config
 from psdalign.simkit import ExperimentConfig
@@ -123,6 +126,21 @@ class TestCli:
         # 2 schemes x 2 sweep lengths x 4 users data rows after 2 header lines
         assert len(lines) - 2 == 2 * 2 * 4
         assert (out / "gain.csv").exists() and (out / "manifest.json").exists()
+
+    def test_sweep_logs_no_warning(self, tmp_path, caplog):
+        # nothing in an ordinary sweep needs the user's action
+        with caplog.at_level(logging.WARNING):
+            code = main(["sweep-mse", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert [rec.getMessage() for rec in caplog.records if rec.levelno >= logging.WARNING] == []
+
+    def test_sweep_runs_the_baseline_once(self, tmp_path):
+        # the Hadamard window is one slot per user at every sweep length
+        with mock.patch.object(simkit, "run_experiment", wraps=simkit.run_experiment) as run:
+            code = main(["sweep-mse", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "o")])
+        assert code == 0
+        schemes = [call.args[0].scheme for call in run.call_args_list]
+        assert schemes == ["psd_align", "hadamard", "psd_align"]
 
     def test_sweep_dl_outputs(self, tmp_path):
         out = tmp_path / "o"

@@ -7,31 +7,27 @@ from scipy.linalg import toeplitz
 from hypothesis import given, settings, strategies as st
 
 from psdalign.estimation import (
-    Interferer,
     SingularSceneError,
-    UplinkScene,
-    UplinkUser,
     asymptotic_mse,
     clarke_closed_form,
     error_covariance,
-    interference_free_mse,
     mmse_estimate,
     mse_from_eigenvalues,
     processing_gain_db,
     small_alpha_mse,
     taylor_check,
 )
-from psdalign import estimation
+from psdalign import estimation, quadrature
 from psdalign.fading import ChannelCovariance, DopplerSpectrum, build_covariance, complex_normal
 from psdalign.pilots import fft_pilot, hadamard_pilots
 from psdalign.quadrature import adaptive_gl
 from psdalign.simkit import ExactModel
 
 
-def clarke_scene(F, P, noise_var, shifts=(0,), power=1.0):
-    cov = build_covariance(DopplerSpectrum.clarke(F), P)
-    users = tuple(UplinkUser(power, fft_pilot(s % P, P), cov) for s in shifts)
-    return UplinkScene(users=users, noise_var=noise_var)
+def clarke_terms(F, P, shifts=(0,), power=1.0):
+    """One (power, R, x) term per cyclic shift, all on the dense Clarke covariance."""
+    R = build_covariance(DopplerSpectrum.clarke(F), P).toeplitz()
+    return [(power, R, fft_pilot(s % P, P).values) for s in shifts]
 
 
 def complex_toeplitz(cov):
@@ -48,12 +44,16 @@ class TestRealToeplitzCovariance:
         clarke = build_covariance(DopplerSpectrum.clarke(0.05), P)
         flat = build_covariance(DopplerSpectrum.flat_band(0.1, 0.3), P)
         pilots = [fft_pilot(0, P), fft_pilot(5.5, P)] if scheme == "ramp" else hadamard_pilots(P)[:2]
-        users = (UplinkUser(1.0, pilots[0], clarke), UplinkUser(0.7, pilots[1], clarke))
-        scene = UplinkScene(users=users, noise_var=0.3, interferers=(Interferer(0.5, flat),))
+
+        def terms(dense):
+            R = dense(clarke)
+            return [(1.0, R, pilots[0].values), (0.7, R, pilots[1].values), (0.5, dense(flat), None)]
+
         y = complex_normal(np.random.default_rng(3), (P, 3))
-        got = [(error_covariance(scene, k), mmse_estimate(y, scene, k)) for k in range(2)]
-        with mock.patch.object(ChannelCovariance, "toeplitz", complex_toeplitz):
-            expected = [(error_covariance(scene, k), mmse_estimate(y, scene, k)) for k in range(2)]
+        got, expected = (
+            [(error_covariance(0.3, scene, k), mmse_estimate(y, 0.3, scene, k)) for k in range(2)]
+            for scene in (terms(ChannelCovariance.toeplitz), terms(complex_toeplitz))
+        )
         for ((E, mse), est), ((E_ref, mse_ref), est_ref) in zip(got, expected):
             np.testing.assert_allclose(E, E_ref, rtol=0, atol=1e-12)
             assert abs(mse - mse_ref) <= 1e-12
@@ -62,32 +62,31 @@ class TestRealToeplitzCovariance:
 class TestMmseEstimate:
     def test_noise_free_full_rank_recovers_exactly(self):
         P = 32
-        cov = build_covariance(DopplerSpectrum.flat_band(-0.5, 0.5), P)
-        user = UplinkUser(2.0, fft_pilot(5, P), cov)
-        scene = UplinkScene(users=(user,), noise_var=0.0)
+        R = build_covariance(DopplerSpectrum.flat_band(-0.5, 0.5), P).toeplitz()
+        x = fft_pilot(5, P).values
         rng = np.random.default_rng(0)
         h = complex_normal(rng, (P,))
-        y = math.sqrt(2.0) * user.pilot.values * h
-        est = mmse_estimate(y, scene, 0)
+        y = math.sqrt(2.0) * x * h
+        est = mmse_estimate(y, 0.0, [(2.0, R, x)], 0)
         assert np.linalg.norm(est - h) / np.linalg.norm(h) < 1e-8
 
     def test_vanishing_power_gives_prior_mean(self):
-        base = np.linalg.norm(mmse_estimate(np.ones(64), clarke_scene(0.05, 64, 1.0), 0))
+        base = np.linalg.norm(mmse_estimate(np.ones(64), 1.0, clarke_terms(0.05, 64), 0))
         tiny = np.linalg.norm(
-            mmse_estimate(np.ones(64), clarke_scene(0.05, 64, 1.0, power=1e-12), 0)
+            mmse_estimate(np.ones(64), 1.0, clarke_terms(0.05, 64, power=1e-12), 0)
         )
         assert tiny < 1e-5 * base
 
     def test_singular_noise_free_scene_raises(self):
-        scene = clarke_scene(0.002, 64, 0.0)
+        terms = clarke_terms(0.002, 64)
         with pytest.raises(SingularSceneError):
-            mmse_estimate(np.ones(64), scene, 0)
+            mmse_estimate(np.ones(64), 0.0, terms, 0)
 
     def test_two_aligned_users_reach_interference_free_mse(self):
         # Monte-Carlo against the matrix expression, > 500 antenna draws
         F, P, M, trials = 0.002, 1024, 500, 4
-        scene = clarke_scene(F, P, 1.0, shifts=(0, P // 2))
-        reference = interference_free_mse(scene, 0)
+        terms = clarke_terms(F, P, shifts=(0, P // 2))
+        reference = error_covariance(1.0, terms[:1], 0)[1]
         model = ExactModel(DopplerSpectrum.clarke(F), P)
         total = 0.0
         for t in range(trials):
@@ -95,42 +94,35 @@ class TestMmseEstimate:
             h0 = model.draw(np.random.default_rng((1, t)), M).window.T
             h1 = model.draw(np.random.default_rng((2, t)), M).window.T
             w = complex_normal(rng, (P, M))
-            y = (
-                scene.users[0].pilot.values[:, None] * h0
-                + scene.users[1].pilot.values[:, None] * h1
-                + w
-            )
-            est = mmse_estimate(y, scene, 0)
+            y = terms[0][2][:, None] * h0 + terms[1][2][:, None] * h1 + w
+            est = mmse_estimate(y, 1.0, terms, 0)
             total += np.mean(np.abs(est - h0) ** 2)
         empirical = total / trials
         assert abs(empirical - reference) / reference < 0.02
 
     def test_batched_matches_vector_calls(self):
-        scene = clarke_scene(0.05, 32, 0.5)
+        terms = clarke_terms(0.05, 32)
         rng = np.random.default_rng(3)
         Y = complex_normal(rng, (32, 5))
-        block = mmse_estimate(Y, scene, 0)
+        block = mmse_estimate(Y, 0.5, terms, 0)
         for m in range(5):
-            assert np.allclose(block[:, m], mmse_estimate(Y[:, m], scene, 0))
+            assert np.allclose(block[:, m], mmse_estimate(Y[:, m], 0.5, terms, 0))
 
 
 class TestErrorCovariance:
     def test_zero_power_returns_prior(self):
-        scene = clarke_scene(0.05, 64, 1.0, power=0.0)
-        E, mse = error_covariance(scene, 0)
+        terms = clarke_terms(0.05, 64, power=0.0)
+        E, mse = error_covariance(1.0, terms, 0)
         assert abs(mse - 1.0) < 1e-12
-        assert np.allclose(E, scene.users[0].covariance.toeplitz())
+        assert np.allclose(E, terms[0][1])
 
     def test_constant_channel_orthogonal_pair_is_interference_free(self):
         P = 8
-        cov = ChannelCovariance(P, np.ones(P))  # r(v) = 1 for all v
-        h0, h1 = hadamard_pilots(2)[0], None
+        R = ChannelCovariance(P, np.ones(P)).toeplitz()  # r(v) = 1 for all v
         ps = hadamard_pilots(8)
-        users = (UplinkUser(1.0, ps[0], cov), UplinkUser(1.0, ps[1], cov))
-        scene = UplinkScene(users=users, noise_var=1.0)
-        _, mse_pair = error_covariance(scene, 0)
-        single = UplinkScene(users=users[:1], noise_var=1.0)
-        _, mse_single = error_covariance(single, 0)
+        terms = [(1.0, R, ps[0].values), (1.0, R, ps[1].values)]
+        _, mse_pair = error_covariance(1.0, terms, 0)
+        _, mse_single = error_covariance(1.0, terms[:1], 0)
         assert abs(mse_pair - mse_single) < 1e-10
 
     @given(st.data())
@@ -140,38 +132,31 @@ class TestErrorCovariance:
         F = data.draw(st.floats(0.01, 0.2))
         shift = data.draw(st.integers(0, P - 1))
         power = data.draw(st.floats(0.1, 5.0))
-        base = clarke_scene(F, P, 1.0)
-        cov = base.users[0].covariance
-        crowded = UplinkScene(
-            users=(base.users[0], UplinkUser(power, fft_pilot(shift, P), cov)),
-            noise_var=1.0,
-        )
-        _, alone = error_covariance(base, 0)
-        _, with_interf = error_covariance(crowded, 0)
+        base = clarke_terms(F, P)
+        crowded = [*base, (power, base[0][1], fft_pilot(shift, P).values)]
+        _, alone = error_covariance(1.0, base, 0)
+        _, with_interf = error_covariance(1.0, crowded, 0)
         assert with_interf >= alone - 1e-12
 
     def test_unestimated_interferer_raises_mse(self):
         P = 64
-        cov = build_covariance(DopplerSpectrum.clarke(0.05), P)
-        cont = build_covariance(DopplerSpectrum.flat_band(-0.375, 0.375), P)
-        clean = UplinkScene(users=(UplinkUser(1.0, fft_pilot(0, P), cov),), noise_var=1.0)
-        raw = UplinkScene(clean.users, 1.0, interferers=(Interferer(2.0, cont),))
-        piloted = UplinkScene(
-            clean.users, 1.0, interferers=(Interferer(2.0, cont, pilot=fft_pilot(7, P)),)
-        )
-        base = error_covariance(clean, 0)[1]
-        assert error_covariance(raw, 0)[1] > base
-        assert error_covariance(piloted, 0)[1] > base
+        R = build_covariance(DopplerSpectrum.clarke(0.05), P).toeplitz()
+        cont = build_covariance(DopplerSpectrum.flat_band(-0.375, 0.375), P).toeplitz()
+        clean = [(1.0, R, fft_pilot(0, P).values)]
+        raw = [*clean, (2.0, cont, None)]
+        piloted = [*clean, (2.0, cont, fft_pilot(7, P).values)]
+        base = error_covariance(1.0, clean, 0)[1]
+        assert error_covariance(1.0, raw, 0)[1] > base
+        assert error_covariance(1.0, piloted, 0)[1] > base
 
     def test_monotone_in_noise_and_power(self):
-        scene_lo = clarke_scene(0.05, 48, 0.5)
-        scene_hi = clarke_scene(0.05, 48, 2.0)
-        _, m_lo = error_covariance(scene_lo, 0)
-        _, m_hi = error_covariance(scene_hi, 0)
+        terms = clarke_terms(0.05, 48)
+        _, m_lo = error_covariance(0.5, terms, 0)
+        _, m_hi = error_covariance(2.0, terms, 0)
         assert m_hi > m_lo
-        strong = clarke_scene(0.05, 48, 1.0, power=4.0)
-        weak = clarke_scene(0.05, 48, 1.0, power=0.25)
-        assert error_covariance(strong, 0)[1] < error_covariance(weak, 0)[1]
+        strong = clarke_terms(0.05, 48, power=4.0)
+        weak = clarke_terms(0.05, 48, power=0.25)
+        assert error_covariance(1.0, strong, 0)[1] < error_covariance(1.0, weak, 0)[1]
 
     def test_matches_eigendomain_form_for_circulant_scene(self):
         # a circulant covariance (autocorrelation: the inverse DFT of lam) with
@@ -181,14 +166,10 @@ class TestErrorCovariance:
         lam = np.zeros(P)
         lam[:6] = [3.0, 8.0, 6.0, 1.0, 0.5, 2.5]
         lam *= P / lam.sum()
-        cov = ChannelCovariance(P, np.fft.ifft(lam))
+        R = ChannelCovariance(P, np.fft.ifft(lam)).toeplitz()
         dtau = 17
-        users = (
-            UplinkUser(1.3, fft_pilot(0, P), cov),
-            UplinkUser(0.7, fft_pilot(dtau, P), cov),
-        )
-        scene = UplinkScene(users=users, noise_var=0.8)
-        _, dense = error_covariance(scene, 0)
+        terms = [(1.3, R, fft_pilot(0, P).values), (0.7, R, fft_pilot(dtau, P).values)]
+        _, dense = error_covariance(0.8, terms, 0)
         eig = mse_from_eigenvalues(lam, 1.3, 0.8, interference=0.7 * np.roll(lam, dtau))
         assert abs(dense - eig) < 1e-10
 
@@ -221,6 +202,24 @@ class TestAsymptoticMse:
         # user sits inside the contamination band at shift 0
         assert shifted > asymptotic_mse(sp, 1.0, 1.0)
 
+    def test_node_on_own_edge_converges(self):
+        # the interferer's band edge lies 2e-9 inside -F, so the panel between
+        # them has nodes that round onto the user's own bathtub edge, where S
+        # reads inf; a nan there bisected every panel at the edge to max_depth
+        F = 0.023830728817048952
+        interferer = (DopplerSpectrum.flat_band(-0.22049251290232347, 0.5), -0.5238307268170489, 1.0)
+        rule_sums, calls = quadrature._rule_sums, []
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > 1000:
+                raise AssertionError("more than 1000 quadrature rule calls")
+            return rule_sums(*args)
+
+        with mock.patch.object(quadrature, "_rule_sums", counted):
+            got = asymptotic_mse(DopplerSpectrum.clarke(F), 1.0, 1.0, [interferer])
+        assert abs(got - clarke_closed_form(math.pi * F)) < 1e-7
+
 
 def loop_asymptotic_mse(spectrum, power, noise_var, interferers):
     """The per-interferer loop: one psd call per interferer, summed in order."""
@@ -235,7 +234,7 @@ def loop_asymptotic_mse(spectrum, power, noise_var, interferers):
     def integrand(xi):
         S = spectrum.psd(wrap(xi))
         denom = S * power + interference(xi) + noise_var
-        return np.divide(S * S * power, denom, out=np.zeros_like(S), where=denom > 0)
+        return np.divide(S * S * power, denom, out=np.zeros_like(S), where=(denom > 0) & (denom < np.inf))
 
     edges = set()
     for lo, hi in spectrum.support():

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -194,12 +193,6 @@ class TestBuildCovariance:
     def test_eigenvalues_nonnegative(self):
         cov = build_covariance(DopplerSpectrum.clarke(0.002), 512)
         assert np.all(cov.eigenvalues >= 0)
-
-    def test_clamp_warning_logged(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="psdalign.fading"):
-            cov = build_covariance(DopplerSpectrum.clarke(0.002), 512)
-            cov.eigenvalues  # noqa: B018 - property with the warning side effect
-        assert any("clamp" in rec.message for rec in caplog.records)
 
     def test_rejects_short_window(self):
         with pytest.raises(ValueError):

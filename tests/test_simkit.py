@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
 
 from psdalign import estimation, fading, pilots, simkit
 from psdalign.fading import DopplerSpectrum
@@ -356,9 +355,8 @@ class TestStructuredSolver:
         cfg = ExperimentConfig(pilot_snr_db=pilot_snr_db)
         P = 128
         spectrum = DopplerSpectrum.clarke(cfg.max_doppler)
-        user = estimation.UplinkUser(cfg.user_power, pilots.fft_pilot(37.5, P), fading.build_covariance(spectrum, P))
-        scene = estimation.UplinkScene(users=(user,), noise_var=cfg.noise_var)
-        dense = estimation.error_covariance(scene, 0)[1]
+        R = fading.build_covariance(spectrum, P).toeplitz()
+        dense = estimation.error_covariance(cfg.noise_var, [(cfg.user_power, R, pilots.fft_pilot(37.5, P).values)], 0)[1]
         mse = simkit.ExactModel(spectrum, P).mse(cfg.user_power, cfg.noise_var)
         assert mse == pytest.approx(dense, rel=1e-9)
 
@@ -452,8 +450,9 @@ class TestCirculantSupport:
 class TestTrialAgainstDenseOracle:
     """The trial's per-user error power and downlink estimates against dense matrices.
 
-    The dense route solves E[y y^H] z = y by Cholesky and estimates
-    h_hat_k = sqrt(rho) R (conj(x_k) z) with the model's P x P covariance.
+    The dense route is `estimation.mmse_estimate` on the trial's own terms: it
+    solves E[y y^H] z = y by Cholesky and estimates h_hat_k = sqrt(rho) R
+    (conj(x_k) z) with the model's P x P covariance.
     Ramp pilots take the structured solver; Hadamard pilots, on a window of
     one slot per user, the dense one. Dopplers from 10 to 1250 Hz (F from
     0.002 to 0.25) put circulant supports on both sides of the crossover
@@ -506,10 +505,8 @@ class TestTrialAgainstDenseOracle:
         terms = [(s.rho, R, x) for x in s.pilot_matrix]
         if contamination:
             terms.append((1.0, s.cont.covariance(), None))
-        A = estimation.observation_matrix(P, s.sigma2, terms)
-        z = cho_solve(cho_factor(A, lower=True), y)
-        for k, (x, d) in enumerate(zip(s.pilot_matrix, draws)):
-            h_hat = np.sqrt(s.rho) * R @ (np.conj(x)[:, None] * z)
+        for k, d in enumerate(draws):
+            h_hat = estimation.mmse_estimate(y, s.sigma2, terms, k)
             error = np.mean(np.abs(d.window.T - h_hat) ** 2)
             assert abs(nmse[k] - error) <= 1e-9 * error
             want = d.window[:, -1] if perfect_csi else h_hat[-1]
