@@ -215,14 +215,13 @@ class DopplerSpectrum:
 class ChannelCovariance:
     """Toeplitz covariance of P successive channel samples plus its circulant picture.
 
-    `values` holds the autocorrelation r(0), ..., r(P-1); the Toeplitz matrix
-    has entries R[l, l'] = r(l - l'). The circulant approximation wraps the
-    autocorrelation tail into the first column; its eigenvalues (the DFT of
-    that column) are stored clamped to >= 0 so they can drive the circulant
-    model's draws.
+    `values` holds the autocorrelation r(0), ..., r(P-1), so P is its length;
+    the Toeplitz matrix has entries R[l, l'] = r(l - l'). The circulant
+    approximation wraps the autocorrelation tail into the first column; its
+    eigenvalues (the DFT of that column) are stored clamped to >= 0 so they
+    can drive the circulant model's draws.
     """
 
-    P: int
     values: np.ndarray
 
     @cached_property
@@ -251,7 +250,7 @@ def build_covariance(spectrum, P):
     """Covariance of P successive samples of a process with the given spectrum."""
     if P < 2:
         raise ValueError("observation length P must be >= 2")
-    return ChannelCovariance(P=P, values=np.asarray(spectrum.autocorrelation(np.arange(P))))
+    return ChannelCovariance(np.asarray(spectrum.autocorrelation(np.arange(P))))
 
 
 def complex_normal(rng, shape, out=None, scratch=None):

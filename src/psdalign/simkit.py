@@ -4,12 +4,11 @@ contamination, per-user estimation quality, and TDD downlink beamforming.
 Two channel models share one trial path, which works in the (M, P) layout:
 one row of P window slots per antenna, so every FFT runs along the contiguous
 axis. A model draws a process's window and its downlink sample together with
-the draw in its own basis, and `estimate` turns a block of estimator weights
-into the user's error power and last-slot estimate in that basis. It also
-provides its covariance, as the first column of the Hermitian Toeplitz matrix
-or as the P x P matrix, for the observation covariance. Users share one model
-on the Clarke spectrum; contamination is a second instance of the same class
-on the flat-band spectrum.
+the draw in its own basis. It also provides its covariance, as the first
+column of the Hermitian Toeplitz matrix or as the P x P matrix, for the
+observation covariance. Users share one model on the Clarke spectrum;
+contamination is a second instance of the same class on the flat-band
+spectrum.
 
 The configured scheme alone picks the window, the pilots and the solver
 (`_setup`). The PSD-aligned scheme sends cyclic-shift (exponential-ramp)
@@ -18,7 +17,9 @@ covariance is Hermitian Toeplitz, and trials solve with its inverse written
 through circulant and skew-circulant factors (`psdalign.toeplitz`): no P x P
 array is formed, and every transform has length P. The Hadamard scheme sends
 the rows of a Hadamard matrix over a window of one slot per user and factors
-the dense matrix by Cholesky.
+the dense matrix by Cholesky. The scheme and the model together pick the
+trial's estimate stage, which turns the solved block z into every user's
+error power and last-slot estimate h_hat_k = sqrt(rho) R (conj(x_k) z).
 
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
@@ -36,14 +37,26 @@ the dense matrix by Cholesky.
   cross-checks. A draw sums complex exponentials at the nodes of a quadrature
   of the spectral measure, through the type-1 NUFFT of `psdalign.nufft`
   (directly for the few nodes of a narrow Clarke band): no P x Q matrix is
-  kept. It estimates in the time domain with its Toeplitz product.
+  kept. It estimates in the time domain, against what each user sent,
+  sqrt(rho) x_k h_k, which the trial forms for the observation anyway. With
+  T(c) the Hermitian Toeplitz matrix of first column c, R = T(r), and a ramp
+  pilot, R Diag(conj(x_k)) = Diag(conj(x_k)) T(r x_k), so
+  sqrt(rho) x_k h_hat_k is z times a Hermitian Toeplitz matrix of the user's
+  own, whose split symbols the set-up builds once: all K products start
+  from the same fft(z) and fft(D z) and take two inverse FFTs each
+  (`_shared_transforms`), 2 + 2K transforms against 4K for separate
+  products. Hadamard pilots, on their window of K slots, take a dense
+  product with the K x K covariance (`_dense_products`).
 
 `run_experiment` gives each worker a contiguous block of trials and one
 `Workspace`, which its first trial fills with the blocks every trial reuses:
 the white draws (`complex_normal` with `out=`) and their float scratch plane,
 the observation, the window, the solve's two blocks and the bases. The
 circulant model's FFTs and the solve's six run in place there, so after the
-first trial a circulant trial allocates no (M, P) block.
+first trial a circulant trial allocates no (M, P) block. So do the exact
+model's shared transforms, in the solve's blocks and in those of the
+observation and the noise, which nothing reads once the solve returns; its
+draws' NUFFT output is still allocated every draw.
 """
 
 import json
@@ -63,7 +76,7 @@ from . import estimation, pilots
 from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
 from .fading import DopplerSpectrum, build_covariance, complex_normal, grid_frequencies
 from .nufft import Type1
-from .toeplitz import HermitianToeplitz, ToeplitzInverse
+from .toeplitz import HermitianToeplitz, ToeplitzInverse, ToeplitzProducts
 
 log = logging.getLogger(__name__)
 
@@ -170,10 +183,12 @@ class ChannelDraw(NamedTuple):
     """One draw of M antennas, in the (M, P) layout.
 
     `window` holds the P window slots, `downlink` the (M,) sample `dl_lag`
-    slots past them, and `basis` the draw as the model's `estimate` reads it:
-    the window itself for the exact model, its spectrum on the support bins
-    for the circulant model. A draw into a `Workspace` may keep its arrays
-    there, until the next draw into the same workspace.
+    slots past them, and `basis` the draw as the trial keeps it for its
+    estimate stage: the spectrum on the support bins for the circulant model;
+    the window itself for the exact model, which the trial then modulates in
+    place into what the user sent, sqrt(rho) x_k h_k. A draw into a
+    `Workspace` may keep its arrays there, until the next draw into the same
+    workspace.
     """
 
     window: np.ndarray
@@ -300,12 +315,15 @@ class CirculantModel:
 class ExactModel:
     """Exact Toeplitz statistics, drawn from a quadrature of the spectral measure.
 
-    Same interface as CirculantModel. One draw synthesizes the window and the
+    Draws as CirculantModel does. One draw synthesizes the window and the
     `dl_lag` slots after it, so the downlink sample is exactly as correlated
     with the window as in the process: sum_q amp_q g_q exp(2j*pi*n*xi_q) for
     n = 0..P-1+dl_lag with white g_q, a type-1 NUFFT of the nodes xi_q
     (`nufft.Type1`, which keeps the direct sum for few nodes). The P x P
-    covariance is built on request only.
+    covariance is built on request only. The model has no `estimate`: the
+    trial's estimate stage forms each user's product with R together with
+    the user's pilot (`_shared_transforms`, `_dense_products`), and
+    `toeplitz`, the product with R alone, serves criterion 10a.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
@@ -334,12 +352,6 @@ class ExactModel:
         block = self.synthesis(strengths)
         window = block[:, : self.P]
         return ChannelDraw(window, block[:, -1], window)
-
-    def estimate(self, basis, W, ws=None):
-        """Error power and (M,) last-slot estimate of h_hat = R W, by the Toeplitz product."""
-        h_hat = self.toeplitz.matvec(W.T).T
-        error = basis - h_hat
-        return float(np.vdot(error, error).real) / error.size, h_hat[:, -1]
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE: sigma^2 (P - sigma^2 tr(B^{-1})) / (rho P).
@@ -399,6 +411,10 @@ def _setup(config, P):
             terms.append((1.0, s.cont.covariance(), None))
         factor = cho_factor(estimation.observation_matrix(P, s.sigma2, terms), lower=True)
         s.solve = lambda y, buffers: cho_solve(factor, y)
+        if config.channel_model == "exact":
+            # Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)), transposed for the (M, P) layout
+            s.products = s.weights[:, :, None] * R.T * s.tx[:, None, :]
+            s.estimate = _dense_products
     else:
         s = _scene(config, P, np.stack([pilots.fft_pilot(tau, P).values for tau in user_shifts(config, P)]))
         r = s.user.column()
@@ -406,6 +422,12 @@ def _setup(config, P):
         if s.cont is not None:
             terms.append((1.0, s.cont.column(), None))
         s.solve = ToeplitzInverse(estimation.observation_column(P, s.sigma2, terms)).solve
+        if config.channel_model == "exact":
+            # a user's own term, rho Diag(x_k) R Diag(x_k)^H, is Hermitian Toeplitz
+            s.products = ToeplitzProducts(estimation.observation_column(P, 0.0, [term]) for term in terms[: s.K])
+            s.estimate = _shared_transforms
+    if config.channel_model == "circulant":
+        s.estimate = _each_user
     s.nmse_model = s.user.mse(s.rho, s.sigma2)
     snr = s.rho / s.sigma2
     s.nmse_analytic = estimation.small_alpha_mse(config.max_doppler, snr)
@@ -424,15 +446,16 @@ def _sound(s, rng, ws):
     y = ws.get("y", (s.M, s.P))
     y.fill(0)
     truths = np.empty((s.K, s.M), dtype=complex)
-    estimates = np.empty_like(truths)
+    window_ends = np.empty_like(truths)
     for k in range(s.K):
         window, truths[k], basis = s.user.draw(rng, s.M, ws)
         if k == 0:
-            bases = ws.get("bases", (s.K, *basis.shape))
-        bases[k] = basis
+            kept = ws.get("bases", (s.K, *basis.shape))
         if s.perfect_csi:
-            estimates[k] = window[:, -1]
+            window_ends[k] = window[:, -1]
         y += np.multiply(s.tx[k], window, out=window)
+        # the exact model's basis is its window, so it keeps the term the user sent
+        kept[k] = basis
     if s.cont is not None:
         y += s.cont.window(rng, s.M, ws)
     noise = _white(rng, (s.P, s.M), ws)
@@ -443,14 +466,64 @@ def _sound(s, rng, ws):
 
     blocks = ws.get("solve", (2, s.M, s.P))
     Z = s.solve(y.T, blocks).T
+    nmse, last = s.estimate(s, Z, blocks, kept, ws)
+    return nmse, rx_power, truths, window_ends if s.perfect_csi else last
+
+
+def _each_user(s, Z, blocks, kept, ws):
+    """The estimate stage that hands the model each user's weights times the solve's output.
+
+    The model's `estimate` turns that (M, P) block into the user's error
+    power and last-slot estimate against the basis the trial kept.
+    """
     W = blocks[1]  # the solve's work block, free once it returns
     nmse = np.empty(s.K)
+    last = np.empty((s.K, s.M), dtype=complex)
     for k in range(s.K):
         # per-element error power == ||err||^2 / (P * r0) per antenna with r0 = 1
-        nmse[k], estimate = s.user.estimate(bases[k], np.multiply(s.weights[k], Z, out=W), ws)
-        if not s.perfect_csi:
-            estimates[k] = estimate
-    return nmse, rx_power, truths, estimates
+        nmse[k], last[k] = s.user.estimate(kept[k], np.multiply(s.weights[k], Z, out=W), ws)
+    return nmse, last
+
+
+def _sent_errors(s, estimates, kept):
+    """Per-user error power and (K, M) last-slot estimates from E_k = sqrt(rho) x_k h_hat_k.
+
+    `estimates` yields each E_k, which this overwrites, and `kept` holds what
+    each user sent, sqrt(rho) x_k h_k. A pilot of unit modulus leaves
+    |E_k - sent_k|^2 / rho = |h_hat_k - h_k|^2, and the estimator weight
+    conj(sqrt(rho) x_k) over rho turns E_k's last slot into h_hat_k's.
+    """
+    nmse = np.empty(s.K)
+    last = np.empty((s.K, s.M), dtype=complex)
+    for k, (E, sent) in enumerate(zip(estimates, kept)):
+        np.multiply(E[:, -1], s.weights[k, -1] / s.rho, out=last[k])
+        E -= sent
+        nmse[k] = float(np.vdot(E, E).real) / (s.rho * E.size)
+    return nmse, last
+
+
+def _shared_transforms(s, Z, blocks, kept, ws):
+    """The exact model's estimate stage for ramp pilots: every user from the same two forward FFTs.
+
+    sqrt(rho) x_k h_hat_k = rho Diag(x_k) R Diag(x_k)^H z, and for a ramp x_k
+    that matrix is Hermitian Toeplitz, `s.products`' k-th. Its products with
+    z share fft(z) and fft(D z), taken in place in the solve's blocks, and
+    take two inverse FFTs each, in the blocks of y and of the noise's white
+    draw, which nothing reads once the solve returns.
+    """
+    spectra = s.products.spectra(Z, out=blocks)  # Z is blocks[0]
+    E, work = ws.get("y", Z.shape), ws.get("white", Z.shape)
+    return _sent_errors(s, (s.products.product(k, spectra, E, work) for k in range(s.K)), kept)
+
+
+def _dense_products(s, Z, blocks, kept, ws):
+    """The exact model's estimate stage for Hadamard pilots, on their window of one slot per user.
+
+    sqrt(rho) x_k h_hat_k = Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)) z,
+    a dense product with the P x P covariance: in the (M, P) layout, Z times
+    the transpose of that matrix, `s.products[k]`.
+    """
+    return _sent_errors(s, np.matmul(Z, s.products), kept)
 
 
 def _matched_filter_se(s, truths, estimates):

@@ -10,7 +10,9 @@ column, and so take FFTs of length P only:
 where S(h) has h[m - n] on and below the diagonal and -h[P + m - n] above it.
 
 - T = C(c) + S(d) with c_0 = d_0 = t_0 / 2 and c_j, d_j = (t_j +- conj(t_{P-j})) / 2,
-  so a product costs four FFTs a column.
+  so a product costs four FFTs a column: fft(x) and fft(D x), then one
+  inverse FFT for each term. Products of one x with several T of the same
+  size share the two forward transforms (`ToeplitzProducts`).
 - The inverse of a positive definite T starts from its first column
   u = T^{-1} e_0, by the Durbin recursion in O(P^2). T is positive definite
   exactly when the prediction-error power of every order stays positive, and
@@ -86,24 +88,66 @@ def _durbin(t):
     return a / power
 
 
-class HermitianToeplitz:
+class ToeplitzProducts:
+    """Products X -> T_k X with Hermitian Toeplitz matrices T_k of one size, from shared transforms.
+
+    Each T_k = C(c_k) + S(d_k) is held by its split symbols fft(c_k) and
+    fft(D d_k), so that
+
+        T_k X = ifft(fft(c_k) fft(X)) + D^H ifft(fft(D d_k) fft(D X)):
+
+    the two forward transforms of X (`spectra`) serve every T_k, and each
+    product takes two inverse FFTs more.
+    """
+
+    def __init__(self, columns):
+        columns = [_column(column) for column in columns]
+        P = columns[0].size
+        self._D = D = _skew(P)
+        self._Dc = np.conj(D)
+        self._C = np.empty((len(columns), P), dtype=complex)
+        self._S = np.empty_like(self._C)
+        for C, S, t in zip(self._C, self._S, columns):
+            wrapped = _reflect(t)  # conj(t[P - j]) at j >= 1
+            C[:] = np.fft.fft((t + wrapped) / 2)
+            S[:] = np.fft.fft(D * (t - wrapped) / 2)
+
+    def spectra(self, X, out=None):
+        """fft(X) and fft(D X) along the last axis of X, into out[0] and out[1].
+
+        `out` is a complex block of shape (2, *X.shape), allocated when not
+        given; X may be out[0], which it then overwrites.
+        """
+        out = np.empty((2, *X.shape), dtype=complex) if out is None else out
+        np.fft.fft(np.multiply(X, self._D, out=out[1]), out=out[1])
+        np.fft.fft(X, out=out[0])
+        return out
+
+    def product(self, k, spectra, out=None, work=None):
+        """T_k X from `spectra(X)`, into `out`; `work` is a second block of its shape.
+
+        Both are complex, shaped like X, and allocated when not given.
+        """
+        out = np.empty_like(spectra[0]) if out is None else out
+        work = np.empty_like(out) if work is None else work
+        np.multiply(self._S[k], spectra[1], out=work)
+        np.fft.ifft(work, out=work)
+        work *= self._Dc
+        np.multiply(self._C[k], spectra[0], out=out)
+        np.fft.ifft(out, out=out)
+        out += work
+        return out
+
+
+class HermitianToeplitz(ToeplitzProducts):
     """T X through its circulant plus skew-circulant split."""
 
     def __init__(self, column):
-        t = _column(column)
-        self.P = t.size
-        wrapped = _reflect(t)  # conj(t[P - j]) at j >= 1
-        self._D = _skew(self.P)
-        self._C = np.fft.fft((t + wrapped) / 2)
-        self._S = np.fft.fft(self._D * (t - wrapped) / 2)
+        super().__init__([column])
 
     def matvec(self, X):
         """T @ X for a length-P vector or a (P, M) block."""
-        X = _rows(X)
-        product = np.fft.ifft(self._S * np.fft.fft(X * self._D))
-        product *= np.conj(self._D)
-        product += np.fft.ifft(self._C * np.fft.fft(X))
-        return product.T
+        return self.product(0, self.spectra(_rows(X))).T
 
 
 class ToeplitzInverse:

@@ -54,3 +54,20 @@ def assert_close(actual, expected, tol, label=""):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """The length of every transform taken while the test runs, in call order."""
+    lengths = []
+
+    def recording(transform):
+        def recorded(a, n=None, axis=-1, *args, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return transform(a, n, axis, *args, **kwargs)
+
+        return recorded
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    return lengths

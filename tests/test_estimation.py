@@ -118,7 +118,7 @@ class TestErrorCovariance:
 
     def test_constant_channel_orthogonal_pair_is_interference_free(self):
         P = 8
-        R = ChannelCovariance(P, np.ones(P)).toeplitz()  # r(v) = 1 for all v
+        R = ChannelCovariance(np.ones(P)).toeplitz()  # r(v) = 1 for all v
         ps = hadamard_pilots(8)
         terms = [(1.0, R, ps[0].values), (1.0, R, ps[1].values)]
         _, mse_pair = error_covariance(1.0, terms, 0)
@@ -166,7 +166,7 @@ class TestErrorCovariance:
         lam = np.zeros(P)
         lam[:6] = [3.0, 8.0, 6.0, 1.0, 0.5, 2.5]
         lam *= P / lam.sum()
-        R = ChannelCovariance(P, np.fft.ifft(lam)).toeplitz()
+        R = ChannelCovariance(np.fft.ifft(lam)).toeplitz()
         dtau = 17
         terms = [(1.3, R, fft_pilot(0, P).values), (0.7, R, fft_pilot(dtau, P).values)]
         _, dense = error_covariance(0.8, terms, 0)

@@ -122,9 +122,11 @@ class TestWorkspace:
     """Every trial of a worker runs in one workspace, allocated by its first trial."""
 
     # the default user's circulant support: 21 bins at P=512 (the restricted
-    # DFT) and 37 at P=1024 (the FFT branch)
+    # DFT) and 37 at P=1024 (the FFT branch); the exact model's eight users
+    # share the spectra of the solve's output, taken in the solve's blocks
     @pytest.mark.parametrize(
-        "channel_model,P,S", [("circulant", 512, 21), ("circulant", 1024, 37), ("exact", 512, None)]
+        "channel_model,P,S",
+        [("circulant", 512, 21), ("circulant", 1024, 37), ("exact", 512, None), ("exact", 1024, None)],
     )
     def test_dirty_workspace_gives_the_fresh_trial(self, channel_model, P, S):
         s = simkit._setup(ExperimentConfig(channel_model=channel_model, antennas=4), P)
@@ -154,6 +156,27 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < s.M * s.P * np.dtype(complex).itemsize
+
+    def test_exact_estimate_stage_allocates_under_one_block(self):
+        # after the first trial the exact model's estimate stage forms every
+        # user's product in the workspace; its draws' NUFFT output still allocates
+        s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
+        ws = simkit.Workspace()
+        simkit._sound(s, np.random.default_rng(0), ws)
+        stage, peaks = s.estimate, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return stage(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        s.estimate = traced
+        simkit._sound(s, np.random.default_rng(1), ws)
+        assert len(peaks) == 1
+        assert peaks[0] < s.M * s.P * np.dtype(complex).itemsize
 
     def test_contamination_leaves_no_basis(self):
         # the contamination's window is all a trial reads of it: its FFT-branch
@@ -334,6 +357,20 @@ class TestStructuredSolver:
     def test_hadamard_pilots_factor_densely(self, monkeypatch, channel_model):
         cfg = small_config(channel_model=channel_model, scheme="hadamard")
         assert self.dense_calls(monkeypatch, cfg).count("cho_factor") == 1
+
+    def test_exact_trial_shares_its_forward_transforms(self, fft_lengths):
+        # fft(z) and fft(D z) serve all K users' products, two inverse FFTs
+        # each, beside the solve's six; the contamination's NUFFT grids on a
+        # longer grid (the users' narrow bands take the direct sum)
+        s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
+        assert s.K == 8
+        ws = simkit.Workspace()
+        simkit._sound(s, np.random.default_rng(0), ws)
+        built = len(fft_lengths)
+        simkit._sound(s, np.random.default_rng(1), ws)
+        trial = fft_lengths[built:]
+        assert trial.count(s.P) == 2 + 2 * s.K + 6 == 24
+        assert len(trial) == 25
 
     def test_exact_model_holds_no_synthesis_matrix(self):
         # the phase matrix of a direct synthesis of the contamination band

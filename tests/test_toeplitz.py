@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from psdalign import estimation, pilots
 from psdalign.fading import DopplerSpectrum
 from psdalign.simkit import CirculantModel, ExactModel
-from psdalign.toeplitz import HermitianToeplitz, ToeplitzInverse
+from psdalign.toeplitz import HermitianToeplitz, ToeplitzInverse, ToeplitzProducts
 
 REL_TOL = 1e-9
 
@@ -68,23 +68,6 @@ def pd_column(P, kind, rng):
     return column.real if kind == "real" else column
 
 
-@pytest.fixture
-def fft_lengths(monkeypatch):
-    """The length of every transform taken while the test runs, in call order."""
-    lengths = []
-
-    def recording(transform):
-        def recorded(a, n=None, axis=-1, *args, **kwargs):
-            lengths.append(np.shape(a)[axis] if n is None else n)
-            return transform(a, n, axis, *args, **kwargs)
-
-        return recorded
-
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
-    return lengths
-
-
 @pytest.mark.parametrize("P", [1, 2, 3, 8, 97, 128, 255])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("block", [False, True])
@@ -102,6 +85,28 @@ def test_length_p_transforms_match_dense(P, kind, block, fft_lengths):
     dense_trace = np.trace(np.linalg.inv(A)).real
     assert abs(inverse.trace() - dense_trace) <= REL_TOL * dense_trace
     # no circulant embedding: every transform, set-up included, is of length P
+    assert set(fft_lengths) == {P}
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 8, 97, 128, 255])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_ramp_modulated_columns_share_transforms(P, kind, fft_lengths):
+    # R Diag(conj x) = Diag(conj x) T(r x) for a ramp x(n) = exp(2j*pi*tau*n/P),
+    # integer or fractional tau; every such product starts from the same
+    # fft(Z) and fft(D Z), and takes two inverse FFTs of its own
+    rng = np.random.default_rng(P)
+    r = pd_column(P, kind, rng)
+    shifts = (float(int(0.3 * P)), int(0.3 * P) + 0.37, P - 0.5)
+    ramps = [pilots.fft_pilot(shift, P).values for shift in shifts]
+    products = ToeplitzProducts([r * x for x in ramps])
+    Z = rng.standard_normal((3, P)) + 1j * rng.standard_normal((3, P))
+    built = len(fft_lengths)
+    spectra = products.spectra(Z)
+    assert len(fft_lengths) - built == 2
+    for k, x in enumerate(ramps):
+        want = (toeplitz(r) @ (np.conj(x)[:, None] * Z.T)).T
+        assert rel_err(np.conj(x) * products.product(k, spectra), want) <= REL_TOL
+    assert len(fft_lengths) - built == 2 + 2 * len(ramps)
     assert set(fft_lengths) == {P}
 
 
