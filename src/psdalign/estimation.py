@@ -159,7 +159,8 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
 
     edges = {e for band in own for e in band}
     shifted = [e + shift for sp, shift, _ in interferers for band in sp.support() for e in band]
-    edges.update(_wrap(np.array(shifted, dtype=float)).tolist())
+    if shifted:
+        edges.update(_wrap(np.array(shifted, dtype=float)).tolist())
 
     total = 0.0
     for lo, hi in own:

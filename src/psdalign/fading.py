@@ -19,7 +19,7 @@ rotating autocorrelation. Covariances pair as E[h h^H](l, l') = r(l - l').
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -31,9 +31,12 @@ from .quadrature import oscillatory_nodes
 def _bathtub(F, F2, x):
     """The bathtub density at x for half-widths F (with F2 = F**2) broadcast against x."""
     out = np.zeros_like(x)
-    inside = np.abs(x) < F
-    out[inside] = 1.0 / (np.pi * np.sqrt(np.broadcast_to(F2, x.shape)[inside] - x[inside] ** 2))
-    out[np.abs(x) == F] = np.inf
+    distance = np.abs(x)
+    inside = distance < F
+    if np.ndim(F2):
+        F2 = np.broadcast_to(F2, x.shape)[inside]
+    out[inside] = 1.0 / (np.pi * np.sqrt(F2 - x[inside] ** 2))
+    out[distance == F] = np.inf
     return out
 
 
@@ -65,14 +68,21 @@ def stacked_psd(spectra):
 
 
 def _check_frequency_domain(x):
-    if np.any(x <= -0.5) or np.any(x > 0.5):
+    if (x <= -0.5).any() or (x > 0.5).any():
         raise ValueError("normalized frequency must lie in (-1/2, 1/2]")
 
 
+# bounded: a run asks for a few grid lengths, each many times
+@lru_cache(maxsize=32)
 def grid_frequencies(P):
-    """DFT bin frequencies p/P wrapped into (-1/2, 1/2], in DFT order."""
+    """DFT bin frequencies p/P wrapped into (-1/2, 1/2], in DFT order.
+
+    The grid of each length is built once and shared: the array is read-only.
+    """
     xi = np.arange(P) / P
-    return np.where(xi > 0.5, xi - 1.0, xi)
+    xi = np.where(xi > 0.5, xi - 1.0, xi)
+    xi.flags.writeable = False
+    return xi
 
 
 # slack (cycles) for arc tests that must err one way under rounding: far
@@ -179,6 +189,9 @@ class DopplerSpectrum:
         Bins hit exactly by a singular bathtub edge get the bin-averaged mass
         instead of the (infinite) pointwise value: P times the arcsine mass
         (power/pi)(arcsin(b/F) - arcsin(a/F)) of the bin [a, b] clipped to the band.
+
+        The result owns its data and is read-only, so `pilots.shift_orthogonal`
+        can find its support runs once; take a copy to change it.
         """
         xi = grid_frequencies(P)
         if self.kind == "clarke":
@@ -190,9 +203,11 @@ class DopplerSpectrum:
                 a = np.clip(xi[i] - 0.5 / P, -F, F)
                 b = np.clip(xi[i] + 0.5 / P, -F, F)
                 lam[i] = P * (self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi)
-            return lam
-        lo, hi = self.band
-        return np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
+        else:
+            lo, hi = self.band
+            lam = np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
+        lam.flags.writeable = False
+        return lam
 
     def synthesis_nodes(self, max_lag):
         """Quadrature of the spectral measure: frequencies and amplitudes.

@@ -8,8 +8,8 @@ non-interfering, so alignment planning is interval packing on the circle.
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -184,25 +184,51 @@ def _support_runs(lam, floor_rel):
 
     Runs are found on the centered (fftshift) axis so a support straddling
     frequency zero forms one interval; intervals are (lo, hi) in bin units on
-    the circle of circumference P.
+    the circle of circumference P. A vector whose largest entry is nan or inf
+    has no meaningful floor and raises ValueError.
 
-    The runs depend on the above-floor mask alone, so they are memoized on its
-    packed bits: a vector mutated in place gets a new key, and equal masks
-    share an entry.
+    The runs of a read-only float array that owns its data, such as
+    `DopplerSpectrum.sample_eigenvalues` returns, are memoized by identity:
+    `_RUNS_MEMO` maps its `id` to a weak reference to it, the `floor_rel` the
+    runs were found at and the runs. A lookup trusts an entry only while the
+    reference still resolves to this very array and the array is still
+    read-only; an array seen writable drops its entry, and a collected array's
+    entry goes with its weak reference. Writable arrays, views and other inputs
+    find their runs from the mask on every call. An array that is made writable,
+    written and made read-only again without a lookup in between keeps its old
+    runs: write into a copy instead.
     """
     lam = np.asarray(lam, dtype=float)
+    flags = lam.flags
+    if not flags.owndata:
+        return list(_runs(lam, floor_rel))
+    key = id(lam)
+    if flags.writeable:
+        _RUNS_MEMO.pop(key, None)
+        return list(_runs(lam, floor_rel))
+    entry = _RUNS_MEMO.get(key)
+    if entry is not None and entry[0]() is lam and entry[1] == floor_rel:
+        return list(entry[2])
+    runs = _runs(lam, floor_rel)
+    # the callback runs as the array is freed, before its id can be reused
+    ref = weakref.ref(lam, lambda _, key=key: _RUNS_MEMO.pop(key, None))
+    _RUNS_MEMO[key] = (ref, floor_rel, runs)
+    return list(runs)
+
+
+# id of a read-only eigenvalue vector -> (weak reference to it, floor_rel, runs)
+_RUNS_MEMO = {}
+
+
+def _runs(lam, floor_rel):
+    """The runs of `_support_runs`, as a tuple, found from the above-floor mask of the float array lam."""
+    P = lam.size
     peak = lam.max(initial=0.0)
+    if not math.isfinite(peak):
+        raise ValueError(f"eigenvalue vector has a non-finite peak ({peak})")
     if peak <= 0.0:
-        return []
+        return ()
     mask = lam > floor_rel * peak
-    return list(_mask_runs(lam.size, np.packbits(mask).tobytes()))
-
-
-# bounded: a planning op looks up a few dozen distinct masks, each dozens of times
-@lru_cache(maxsize=256)
-def _mask_runs(P, packed):
-    """The runs of the length-P mask whose `np.packbits` bytes are `packed`."""
-    mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=P).astype(bool)
     # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
     # padded with a clear bin at each end so every run has a start and an end
     half = P // 2
@@ -225,7 +251,10 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     Supports are the closed bin intervals where eigenvalues exceed
     floor_rel * max. For integer dtau this coincides with elementwise
     disjointness of the rolled eigenvalue masks; fractional shifts compare the
-    same intervals translated on the circle.
+    same intervals translated on the circle. A vector whose largest entry is
+    nan or inf raises ValueError. The runs of read-only vectors, such as
+    `DopplerSpectrum.sample_eigenvalues` returns, are found once
+    (`_support_runs`), so checking every pair of K users finds K sets of runs.
     """
     same = lam_g is lam_k
     lam_k = np.asarray(lam_k, dtype=float)
@@ -304,18 +333,42 @@ class AlignmentPlan:
 
     def support_masks(self):
         """(K, P) boolean matrix of grid bins carrying each shifted spectrum."""
-        xi = grid_frequencies(self.P)
+        bins, hit = self._support_bins()
+        masks = np.zeros((self.K, self.P), dtype=bool)
+        np.put_along_axis(masks, bins, hit, axis=1)
+        return masks
+
+    def _support_bins(self):
+        """A window of grid bins around each support, (K, w), and which of them carry it.
+
+        Bin p carries support [lo, hi] when d - floor(d) <= (hi - lo) + 1e-15
+        for d = xi_p - lo. Rounding moves d by far less than a bin, so every
+        such bin lies within one bin of [lo, hi]: row k's window runs w bins on
+        from the bin below floor(lo * P), w covering the widest support and a
+        bin past each of its ends. A window of P bins is the whole grid; so is
+        every row's when a support end is not finite or lies outside [-2, 2]
+        cycles, where the rounding of d is no longer small.
+        """
+        P = self.P
         sup = np.array(self.supports(), dtype=float).reshape(-1, 2)
         lo, hi = sup[:, :1], sup[:, 1:]
-        d = xi - lo
+        if np.abs(sup).max(initial=0.0) <= 2.0:
+            first = np.floor(lo * P) - 1.0
+            width = int(min(P, (np.floor(hi * P) - first).max(initial=0.0) + 2.0))
+        else:
+            first, width = np.zeros_like(lo), P
+        bins = (first.astype(np.intp) + np.arange(width)) % P
+        d = grid_frequencies(P)[bins] - lo
         # d % 1.0 rounds the exact d - floor(d), as this subtraction does, so
         # the bits agree; floor costs a fraction of numpy's float remainder
-        return d - np.floor(d) <= (hi - lo) + 1e-15
+        return bins, d - np.floor(d) <= (hi - lo) + 1e-15
 
     def pairwise_orthogonal(self):
         """True when every user pair occupies disjoint grid bins."""
-        # some pair shares a bin exactly when some bin is covered twice
-        return not (self.support_masks().sum(axis=0) > 1).any()
+        # a row's window holds each bin once, so some pair shares a bin
+        # exactly when some bin is carried twice
+        bins, hit = self._support_bins()
+        return not (np.bincount(bins[hit]) > 1).any()
 
     def to_dict(self):
         return {

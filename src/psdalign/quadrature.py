@@ -64,7 +64,8 @@ def _rule_sums(f, x, w, intervals):
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
     values = np.broadcast_to(f(nodes.ravel()), nodes.size).reshape(nodes.shape)
-    return [h * np.sum(w * v) for h, v in zip(half, values)]
+    # a row sum along the contiguous axis adds in the order np.sum takes on each row alone
+    return list(half * np.sum(w * values, axis=1))
 
 
 def oscillatory_nodes(a, b, omega_max):

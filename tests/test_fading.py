@@ -154,6 +154,35 @@ def test_stacked_psd_rows_match_psd_bit_for_bit():
         stacked_psd(spectra)(x + 0.6)
 
 
+class TestReadOnlyOutputs:
+    """Eigenvalue samples and grids are shared by identity, so writing into them raises."""
+
+    @pytest.mark.parametrize(
+        "spectrum", [DopplerSpectrum.clarke(0.01), DopplerSpectrum.flat_band(-0.1, 0.2)], ids=["clarke", "flat"]
+    )
+    def test_sample_eigenvalues(self, spectrum):
+        lam = spectrum.sample_eigenvalues(256)
+        assert lam.base is None and not lam.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            lam *= 2.0
+        copy = lam.copy()
+        copy[0] = 1.0
+        assert spectrum.sample_eigenvalues(256) is not lam
+
+    @pytest.mark.parametrize("P", [2, 7, 100, 4096])
+    def test_grid_frequencies(self, P):
+        xi = grid_frequencies(P)
+        assert grid_frequencies(P) is xi
+        with pytest.raises(ValueError, match="read-only"):
+            xi[0] = 1.0
+        # the values of the uncached construction
+        fresh = np.arange(P) / P
+        assert np.array_equal(xi, np.where(fresh > 0.5, fresh - 1.0, fresh))
+        assert grid_frequencies.cache_info().maxsize is not None
+
+
 class TestBuildCovariance:
     def test_trace_is_r0(self):
         cov = build_covariance(DopplerSpectrum.clarke(0.002), 1024)

@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -557,19 +558,29 @@ def run_masks(draw, max_P=4096):
     return lam
 
 
+def read_only(lam):
+    """A read-only copy of lam that owns its data, as `sample_eigenvalues` returns."""
+    lam = np.array(lam, dtype=float)
+    lam.flags.writeable = False
+    return lam
+
+
 class TestSupportRunsMemo:
-    """The runs are memoized on the above-floor mask; every answer must stay exact."""
+    """The runs of a read-only vector are memoized by identity; every answer must stay exact."""
 
     @given(run_masks())
     @settings(max_examples=100, deadline=None)
     def test_matches_bin_scan_up_to_4096(self, lam):
         assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
-        # a second lookup hits the memo and returns the same runs
-        assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+        # a read-only copy is memoized; its second lookup hits the memo
+        frozen = read_only(lam)
+        assert pilots._support_runs(frozen, 1e-6) == scan_support_runs(lam, 1e-6)
+        assert pilots._support_runs(frozen, 1e-6) == scan_support_runs(lam, 1e-6)
 
     def test_in_place_mutation_between_calls(self):
         P = 512
-        lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(P)
+        # sample_eigenvalues hands out read-only vectors; a copy takes writes
+        lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(P).copy()
         other = lam.copy()
         # supports cover bins -5..5, so a shift of 20 keeps them apart
         assert shift_orthogonal(lam, other, 20) is True
@@ -587,17 +598,67 @@ class TestSupportRunsMemo:
         assert pilots._support_runs(lam, 1e-10) == []
         assert shift_orthogonal(lam, other, 0) is True
 
-    def test_equal_masks_share_an_entry(self):
-        P = 4093  # a length no other test uses, so the mask is new to the memo
-        rng = np.random.default_rng(11)
-        lam_a = rng.uniform(0.5, 2.0, P) * (rng.random(P) < 0.3)
-        lam_b = 3.0 * lam_a  # a different array with the same mask
-        before = pilots._mask_runs.cache_info()
-        runs_a = pilots._support_runs(lam_a, 1e-6)
-        runs_b = pilots._support_runs(lam_b, 1e-6)
-        after = pilots._mask_runs.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-        assert runs_a == runs_b == scan_support_runs(lam_a, 1e-6)
+    def test_runs_found_once_per_vector(self):
+        """A 40-user set's 780 pair checks find each vector's runs once."""
+        P = 4096
+        dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
+        plan = plan_alignment(dopplers, [(-0.375, 0.375)], P)
+        lams = [DopplerSpectrum.clarke(F).sample_eigenvalues(P) for F in dopplers]
+        with mock.patch.object(pilots, "_runs", wraps=pilots._runs) as found:
+            for k in range(40):
+                for g in range(k + 1, 40):
+                    assert shift_orthogonal(lams[k], lams[g], plan.shifts[g] - plan.shifts[k])
+        assert found.call_count == 40
+        assert sorted(id(call.args[0]) for call in found.call_args_list) == sorted(map(id, lams))
+
+    def test_collected_vector_drops_its_entry(self):
+        P = 512
+        reused = 0
+        for _ in range(20):
+            lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(P)
+            assert pilots._support_runs(lam, 1e-10) == [(-5, 5)]
+            key = id(lam)
+            assert key in pilots._RUNS_MEMO
+            del lam
+            assert key not in pilots._RUNS_MEMO
+            # a new vector, often at the collected one's address, with other runs
+            new = np.zeros(P)
+            new[100:110] = 1.0
+            new.flags.writeable = False
+            reused += id(new) == key
+            assert pilots._support_runs(new, 1e-10) == scan_support_runs(new, 1e-10) == [(100, 109)]
+        assert reused
+
+    def test_entry_of_another_array_is_not_trusted(self, monkeypatch):
+        lam = read_only(np.eye(64)[3])
+        stand_in = read_only(np.eye(64)[40])
+        # an entry under lam's id whose reference resolves to another array
+        stale = (weakref.ref(stand_in), 1e-10, ((-24, -24),))
+        monkeypatch.setitem(pilots._RUNS_MEMO, id(lam), stale)
+        assert pilots._support_runs(lam, 1e-10) == [(3, 3)]
+        assert pilots._RUNS_MEMO[id(lam)][0]() is lam
+
+    def test_vector_made_writable_and_mutated_gets_fresh_runs(self):
+        lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(512)
+        assert pilots._support_runs(lam, 1e-10) == [(-5, 5)]
+        assert id(lam) in pilots._RUNS_MEMO
+        lam.flags.writeable = True
+        lam[15] = 1.0
+        assert pilots._support_runs(lam, 1e-10) == scan_support_runs(lam, 1e-10) == [(-5, 5), (15, 15)]
+        assert id(lam) not in pilots._RUNS_MEMO
+        # read-only again: memoized afresh
+        lam.flags.writeable = False
+        assert pilots._support_runs(lam, 1e-10) == [(-5, 5), (15, 15)]
+        assert pilots._RUNS_MEMO[id(lam)][0]() is lam
+
+    def test_floor_and_views(self):
+        lam = read_only(np.r_[np.zeros(10), 1e-7, 1.0, 1e-7, np.zeros(10)])
+        assert pilots._support_runs(lam, 1e-6) == [(11, 11)]
+        assert pilots._support_runs(lam, 1e-8) == [(10, 12)]
+        assert pilots._RUNS_MEMO[id(lam)][1] == 1e-8
+        view = lam[1:]
+        assert pilots._support_runs(view, 1e-8) == scan_support_runs(view, 1e-8)
+        assert id(view) not in pilots._RUNS_MEMO
 
     @pytest.mark.parametrize(
         "lam",
@@ -609,13 +670,33 @@ class TestSupportRunsMemo:
         if lam.size:
             assert shift_orthogonal(lam, lam.copy(), 0) is True
 
-    def test_memo_stays_bounded(self):
-        maxsize = pilots._mask_runs.cache_info().maxsize
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_peak_raises(self, bad):
+        clean = DopplerSpectrum.clarke(0.002).sample_eigenvalues(1000)
+        lam = clean.copy()
+        lam[3] = bad
+        with pytest.raises(ValueError, match="non-finite peak"):
+            shift_orthogonal(lam, lam, 0)
+        lam = clean.copy()
+        lam[0] = bad
+        with pytest.raises(ValueError, match="non-finite peak"):
+            shift_orthogonal(lam, clean, 0)
+        # read-only: raised again on every lookup, and nothing memoized
+        frozen = read_only(lam)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite peak"):
+                shift_orthogonal(clean, frozen, 0)
+        assert id(frozen) not in pilots._RUNS_MEMO
+        assert shift_orthogonal(clean, clean, 0) is False
+
+    def test_memo_holds_only_live_vectors(self):
+        before = len(pilots._RUNS_MEMO)
         P = 24
-        for bits in range(1, 3 * maxsize):
-            lam = ((bits >> np.arange(P)) & 1).astype(float)
+        for bits in range(1, 600):
+            lam = read_only((bits >> np.arange(P)) & 1)
             assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
-        assert pilots._mask_runs.cache_info().currsize == maxsize
+        del lam
+        assert len(pilots._RUNS_MEMO) <= before
 
 
 def loop_support_masks(plan):
@@ -626,6 +707,34 @@ def loop_support_masks(plan):
         rel = (xi - lo) % 1.0
         masks[k] = rel <= (hi - lo) + 1e-15
     return masks
+
+
+@st.composite
+def windowed_plans(draw):
+    """Plans whose supports wrap bin 0 or 1, end exactly on bins, or nearly fill the circle."""
+    P = draw(st.one_of(st.sampled_from([2, 3, 8, 64, 1024, 4096]), st.integers(2, 4096)))
+    K = draw(st.integers(1, 8))
+    dopplers, shifts = [], []
+    for _ in range(K):
+        case = draw(st.sampled_from(["wrap", "on bins", "nearly full", "any"]))
+        if case == "wrap":
+            # centred within a few bins of 0 or of P, so the support runs across bin 0
+            F = draw(st.floats(min(1.0 / P, 0.2), 0.2))
+            shift = draw(st.sampled_from([0.0, 1.0, 0.5, P - 1.0, P - 0.5, P - 1e-9]))
+        elif case == "on bins":
+            # an integer half-width in bins at an integer shift: both ends are multiples of 1/P
+            F = draw(st.integers(1, max(1, P // 2))) / P
+            shift = float(draw(st.integers(0, P - 1)))
+        elif case == "nearly full":
+            # a full turn wide, or short of it by a bin or two, or by a rounding
+            F = 0.5 - draw(st.sampled_from([0.0, 1e-15, 1e-12, 0.5 / P, 1.0 / P, 1.5 / P, 2.0 / P]))
+            shift = draw(st.one_of(st.floats(0.0, P, exclude_max=True), st.integers(0, P - 1).map(float)))
+        else:
+            F = draw(st.floats(1e-4, 0.5))
+            shift = draw(st.floats(0.0, P, exclude_max=True))
+        dopplers.append(F)
+        shifts.append(shift)
+    return AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P)
 
 
 class TestSupportMasks:
@@ -644,10 +753,41 @@ class TestSupportMasks:
         assert got.dtype == bool and got.shape == (K, P)
         assert np.array_equal(got, loop_support_masks(plan))
 
+    @given(windowed_plans())
+    @settings(max_examples=150, deadline=None)
+    def test_windows_bit_identical_at_the_edges(self, plan):
+        masks = loop_support_masks(plan)
+        assert np.array_equal(plan.support_masks(), masks)
+        assert plan.pairwise_orthogonal() == (not (masks.sum(axis=0) > 1).any())
+
+    @pytest.mark.parametrize(
+        "dopplers, shifts",
+        [
+            ((np.nan, 0.01), (3.0, 10.0)),
+            ((np.inf, 0.01), (3.0, 10.0)),
+            ((0.01, 0.02), (np.nan, 50.0)),
+            ((0.01, 0.02), (1e18, 50.0)),
+            ((0.01, 0.02), (-3e3 * 64, 50.0)),
+            ((0.5, 0.01), (0.0, 32.0)),
+            ((0.75, 0.01), (17.0, 32.0)),
+        ],
+    )
+    def test_non_finite_and_far_supports_take_the_whole_grid(self, dopplers, shifts):
+        plan = AlignmentPlan(dopplers=dopplers, shifts=shifts, P=64)
+        with np.errstate(invalid="ignore"):
+            masks = loop_support_masks(plan)
+            assert np.array_equal(plan.support_masks(), masks)
+            assert plan.pairwise_orthogonal() == (not (masks.sum(axis=0) > 1).any())
+
     def test_planned_mixed_doppler_set(self):
         dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
         plan = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
         assert np.array_equal(plan.support_masks(), loop_support_masks(plan))
+        assert plan.pairwise_orthogonal()
+
+    def test_empty_plan(self):
+        plan = AlignmentPlan(dopplers=(), shifts=(), P=16)
+        assert plan.support_masks().shape == (0, 16)
         assert plan.pairwise_orthogonal()
 
 def gap(int_a, int_b):
