@@ -7,7 +7,6 @@ from .estimation import (
     asymptotic_mse,
     clarke_closed_form,
     error_covariance,
-    mmse_estimate,
     mse_from_eigenvalues,
     processing_gain_db,
     small_alpha_mse,

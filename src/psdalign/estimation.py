@@ -2,9 +2,10 @@
 
 A sounding scene is a list of (power, covariance, pilot) terms, one per
 source: `observation_matrix` sums them densely and `observation_column`
-gives the Toeplitz first column the simulator's solver takes. The dense
-routines on those terms, `mmse_estimate` and `error_covariance` (Cholesky
-of the P x P observation covariance), are the tests' oracle for that solver.
+gives the Toeplitz first column the simulator's solver takes.
+`error_covariance` on those terms (Cholesky of the P x P observation
+covariance) is the dense reference for that solver's MSE; the dense MMSE
+estimate itself lives with the tests, as their oracle.
 
 Three routes to the per-element MSE cross-check each other: that exact
 finite-P matrix evaluation, the eigenvalue-domain expression the large-P
@@ -67,25 +68,6 @@ def _factor_observation(noise_var, terms):
                 "use full-rank covariances"
             ) from exc
         raise
-
-
-def mmse_estimate(y, noise_var, terms, k):
-    """Linear MMSE estimate of the channel of term k from observation(s) y.
-
-    `terms` are the (power, R, x) terms of `observation_matrix`, with dense
-    P x P covariances R; term k is the estimated source and carries a pilot.
-    y may be a length-P vector or a (P, M) block of per-antenna observations;
-    the estimate has the same shape.
-    """
-    power, R, x = terms[k]
-    y = np.asarray(y, dtype=complex)
-    single = y.ndim == 1
-    Y = y[:, None] if single else y
-    if Y.shape[0] != len(R):
-        raise ValueError("observation length does not match the scene")
-    Z = cho_solve(_factor_observation(noise_var, terms), Y)
-    est = math.sqrt(power) * (R @ (np.conj(x)[:, None] * Z))
-    return est[:, 0] if single else est
 
 
 def error_covariance(noise_var, terms, k):

@@ -7,6 +7,9 @@ interference.
 
 `arc_gaps` measures the gap between closed arcs of that circle, for the
 alignment planner and for the interferers the limit integral keeps.
+`DopplerSpectrum.sample_eigenvalues` samples a spectrum on the P-point grid
+as a read-only `SampledPsd`, which carries its support runs (`support_runs`),
+so the shift-orthogonality checks of `psdalign.pilots` find them once.
 
 Channels are drawn only by the models of `psdalign.simkit`: the exact one from
 `DopplerSpectrum.synthesis_nodes`, the circulant one from the clamped
@@ -18,6 +21,7 @@ r(v) = E[h(n+v) conj(h(n))], so a positive-frequency tone has a positively
 rotating autocorrelation. Covariances pair as E[h h^H](l, l') = r(l - l').
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -109,6 +113,60 @@ def arc_gaps(lo_a, hi_a, lo_b, hi_b):
     return np.where(width_a + width_b >= 1.0, -1.0, np.minimum(fwd, bwd))
 
 
+# support detection threshold, relative to the largest eigenvalue
+EIGENVALUE_FLOOR_REL = 1e-10
+
+
+def support_runs(lam, floor_rel):
+    """Contiguous runs of bins where the float array lam exceeds floor_rel * max(lam), as a tuple.
+
+    Runs are found on the centered (fftshift) axis so a support straddling
+    frequency zero forms one interval; intervals are (lo, hi) in bin units on
+    the circle of circumference P. A vector whose largest entry is nan or inf
+    has no meaningful floor and raises ValueError.
+    """
+    P = lam.size
+    peak = lam.max(initial=0.0)
+    if not math.isfinite(peak):
+        raise ValueError(f"eigenvalue vector has a non-finite peak ({peak})")
+    if peak <= 0.0:
+        return ()
+    mask = lam > floor_rel * peak
+    # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
+    # padded with a clear bin at each end so every run has a start and an end
+    half = P // 2
+    padded = np.concatenate(([False], mask[P - half :], mask[: P - half], [False]))
+    # a boolean diff is True where the mask changes: run starts, and one past run ends
+    change = np.flatnonzero(np.diff(padded))
+    runs = list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
+    # wrap-around merge: run touching both ends is one circular run
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == P - 1:
+        first = runs.pop(0)
+        last = runs.pop()
+        runs.append((last[0], first[1] + P))
+    # back to absolute bin coordinates
+    return tuple((lo - half, hi - half) for lo, hi in runs)
+
+
+class SampledPsd(np.ndarray):
+    """PSD samples on the P-point grid, as `DopplerSpectrum.sample_eigenvalues` returns them.
+
+    A float array with one attribute added, `runs`: on a sample, its
+    `support_runs` at `EIGENVALUE_FLOOR_REL`, found as the sample was built.
+    A sample lies on an immutable buffer, so neither it nor its base can be
+    made writable, and its runs cannot go stale. A view, copy, arithmetic
+    result or unpickled copy of a sample has runs None.
+    """
+
+    runs = None
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        # a reduction gives a numpy scalar, as on a plain array, not a 0-d sample
+        if return_scalar:
+            return array[()]
+        return super().__array_wrap__(array, context, return_scalar)
+
+
 @dataclass(frozen=True)
 class DopplerSpectrum:
     """Normalized power spectral density of a stationary channel process.
@@ -123,8 +181,8 @@ class DopplerSpectrum:
     power: float = 1.0
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("power must be nonnegative")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
         if self.kind == "clarke":
             if not 0.0 < self.max_doppler <= 0.5:
                 raise ValueError(f"normalized max Doppler must be in (0, 1/2], got {self.max_doppler}")
@@ -134,6 +192,8 @@ class DopplerSpectrum:
             # circle point as +1/2 and carries no mass
             if not (-0.5 <= lo < hi <= 0.5):
                 raise ValueError(f"band must satisfy -1/2 <= lo < hi <= 1/2, got [{lo}, {hi}]")
+            if not math.isfinite(self.power / (hi - lo)):
+                raise ValueError(f"band [{lo}, {hi}] is too narrow for a finite density at power {self.power}")
         else:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
@@ -184,30 +244,37 @@ class DopplerSpectrum:
         return [self.band]
 
     def sample_eigenvalues(self, P):
-        """PSD samples on the P-point grid (the large-P eigenvalue picture).
+        """PSD samples on the P-point grid (the large-P eigenvalue picture), as a `SampledPsd`.
 
         Bins hit exactly by a singular bathtub edge get the bin-averaged mass
         instead of the (infinite) pointwise value: P times the arcsine mass
         (power/pi)(arcsin(b/F) - arcsin(a/F)) of the bin [a, b] clipped to the band.
+        The bathtub is evaluated only on the bins within ceil(F P) + 1 of bin 0
+        (the whole grid when that window covers it): no other bin lies within
+        1e-15 of the band.
 
-        The result owns its data and is read-only, so `pilots.shift_orthogonal`
-        can find its support runs once; take a copy to change it.
+        The samples are read-only and carry their support runs; take a copy
+        to change them.
         """
         xi = grid_frequencies(P)
         if self.kind == "clarke":
             F = self.max_doppler
             lam = np.zeros(P)
-            inside = np.abs(xi) < F
-            lam[inside] = self.power / (np.pi * np.sqrt(F**2 - xi[inside] ** 2))
-            for i in np.flatnonzero(np.abs(np.abs(xi) - F) < 1e-15):
+            reach = math.ceil(F * P) + 1
+            bins = np.arange(-reach, reach + 1) % P if 2 * reach + 1 < P else np.arange(P)
+            x = xi[bins]
+            inside = np.abs(x) < F
+            lam[bins[inside]] = self.power / (np.pi * np.sqrt(F**2 - x[inside] ** 2))
+            for i in bins[np.abs(np.abs(x) - F) < 1e-15].tolist():
                 a = np.clip(xi[i] - 0.5 / P, -F, F)
                 b = np.clip(xi[i] + 0.5 / P, -F, F)
                 lam[i] = P * (self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi)
         else:
             lo, hi = self.band
             lam = np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
-        lam.flags.writeable = False
-        return lam
+        sample = np.frombuffer(lam.tobytes()).view(SampledPsd)
+        sample.runs = support_runs(lam, EIGENVALUE_FLOOR_REL)
+        return sample
 
     def synthesis_nodes(self, max_lag):
         """Quadrature of the spectral measure: frequencies and amplitudes.

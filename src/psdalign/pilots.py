@@ -8,15 +8,12 @@ non-interfering, so alignment planning is interval packing on the circle.
 
 import bisect
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import ARC_MARGIN, arc_gaps, grid_frequencies
+from .fading import ARC_MARGIN, EIGENVALUE_FLOOR_REL, SampledPsd, arc_gaps, grid_frequencies, support_runs
 
-# support detection threshold, relative to the largest eigenvalue
-EIGENVALUE_FLOOR_REL = 1e-10
 _UNIT_MODULUS_TOL = 1e-9
 # consecutive-ratio spread, per slot of length, below which pkg counts as a ramp
 _RAMP_TOL_PER_SLOT = 1e-13
@@ -180,69 +177,16 @@ def _structured_norm(R_k, R_g, pkg):
 
 
 def _support_runs(lam, floor_rel):
-    """Contiguous above-floor runs of an eigenvalue vector, as bin intervals.
+    """Contiguous above-floor runs of an eigenvalue vector, as a list of `fading.support_runs` intervals.
 
-    Runs are found on the centered (fftshift) axis so a support straddling
-    frequency zero forms one interval; intervals are (lo, hi) in bin units on
-    the circle of circumference P. A vector whose largest entry is nan or inf
-    has no meaningful floor and raises ValueError.
-
-    The runs of a read-only float array that owns its data, such as
-    `DopplerSpectrum.sample_eigenvalues` returns, are memoized by identity:
-    `_RUNS_MEMO` maps its `id` to a weak reference to it, the `floor_rel` the
-    runs were found at and the runs. A lookup trusts an entry only while the
-    reference still resolves to this very array and the array is still
-    read-only; an array seen writable drops its entry, and a collected array's
-    entry goes with its weak reference. Writable arrays, views and other inputs
-    find their runs from the mask on every call. An array that is made writable,
-    written and made read-only again without a lookup in between keeps its old
-    runs: write into a copy instead.
+    A `SampledPsd` from `DopplerSpectrum.sample_eigenvalues` carries its runs
+    at `EIGENVALUE_FLOOR_REL`, and they are read there; any other input, or
+    another floor, finds its runs from the mask on every call.
     """
-    lam = np.asarray(lam, dtype=float)
-    flags = lam.flags
-    if not flags.owndata:
-        return list(_runs(lam, floor_rel))
-    key = id(lam)
-    if flags.writeable:
-        _RUNS_MEMO.pop(key, None)
-        return list(_runs(lam, floor_rel))
-    entry = _RUNS_MEMO.get(key)
-    if entry is not None and entry[0]() is lam and entry[1] == floor_rel:
-        return list(entry[2])
-    runs = _runs(lam, floor_rel)
-    # the callback runs as the array is freed, before its id can be reused
-    ref = weakref.ref(lam, lambda _, key=key: _RUNS_MEMO.pop(key, None))
-    _RUNS_MEMO[key] = (ref, floor_rel, runs)
+    runs = lam.runs if isinstance(lam, SampledPsd) and floor_rel == EIGENVALUE_FLOOR_REL else None
+    if runs is None:
+        runs = support_runs(np.asarray(lam, dtype=float), floor_rel)
     return list(runs)
-
-
-# id of a read-only eigenvalue vector -> (weak reference to it, floor_rel, runs)
-_RUNS_MEMO = {}
-
-
-def _runs(lam, floor_rel):
-    """The runs of `_support_runs`, as a tuple, found from the above-floor mask of the float array lam."""
-    P = lam.size
-    peak = lam.max(initial=0.0)
-    if not math.isfinite(peak):
-        raise ValueError(f"eigenvalue vector has a non-finite peak ({peak})")
-    if peak <= 0.0:
-        return ()
-    mask = lam > floor_rel * peak
-    # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
-    # padded with a clear bin at each end so every run has a start and an end
-    half = P // 2
-    padded = np.concatenate(([False], mask[P - half :], mask[: P - half], [False]))
-    # a boolean diff is True where the mask changes: run starts, and one past run ends
-    change = np.flatnonzero(np.diff(padded))
-    runs = list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
-    # wrap-around merge: run touching both ends is one circular run
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == P - 1:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1] + P))
-    # back to absolute bin coordinates
-    return tuple((lo - half, hi - half) for lo, hi in runs)
 
 
 def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
@@ -252,27 +196,24 @@ def shift_orthogonal(lam_k, lam_g, dtau, floor_rel=EIGENVALUE_FLOOR_REL):
     floor_rel * max. For integer dtau this coincides with elementwise
     disjointness of the rolled eigenvalue masks; fractional shifts compare the
     same intervals translated on the circle. A vector whose largest entry is
-    nan or inf raises ValueError. The runs of read-only vectors, such as
-    `DopplerSpectrum.sample_eigenvalues` returns, are found once
-    (`_support_runs`), so checking every pair of K users finds K sets of runs.
+    nan or inf raises ValueError. Samples from
+    `DopplerSpectrum.sample_eigenvalues` carry their runs (`_support_runs`),
+    so checking every pair of K users finds no runs beyond those K.
     """
-    same = lam_g is lam_k
-    lam_k = np.asarray(lam_k, dtype=float)
-    lam_g = np.asarray(lam_g, dtype=float)
-    if lam_k.shape != lam_g.shape:
+    if np.shape(lam_k) != np.shape(lam_g):
         raise ValueError("eigenvalue vectors must have equal length")
-    P = lam_k.size
+    P = np.size(lam_k)
     runs_k = _support_runs(lam_k, floor_rel)
     # one spectrum against itself (equal-Doppler users): its runs once
-    runs_g = runs_k if same else _support_runs(lam_g, floor_rel)
+    runs_g = runs_k if lam_g is lam_k else _support_runs(lam_g, floor_rel)
     for run_k in runs_k:
         for run_g in runs_g:
-            if _runs_overlap(run_k, run_g, dtau, P):
+            if runs_overlap(run_k, run_g, dtau, P):
                 return False
     return True
 
 
-def _runs_overlap(run_k, run_g, dtau, P):
+def runs_overlap(run_k, run_g, dtau, P):
     """Circular closed-interval overlap of bin run_k and bin run_g shifted by dtau (scalar or array)."""
     lo_k, hi_k = run_k
     lo, hi = run_g[0] + dtau, run_g[1] + dtau
@@ -330,13 +271,6 @@ class AlignmentPlan:
 
     def is_valid(self):
         return not self.validate()
-
-    def support_masks(self):
-        """(K, P) boolean matrix of grid bins carrying each shifted spectrum."""
-        bins, hit = self._support_bins()
-        masks = np.zeros((self.K, self.P), dtype=bool)
-        np.put_along_axis(masks, bins, hit, axis=1)
-        return masks
 
     def _support_bins(self):
         """A window of grid bins around each support, (K, w), and which of them carry it.

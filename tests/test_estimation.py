@@ -11,7 +11,6 @@ from psdalign.estimation import (
     asymptotic_mse,
     clarke_closed_form,
     error_covariance,
-    mmse_estimate,
     mse_from_eigenvalues,
     processing_gain_db,
     small_alpha_mse,
@@ -22,6 +21,8 @@ from psdalign.fading import ChannelCovariance, DopplerSpectrum, build_covariance
 from psdalign.pilots import fft_pilot, hadamard_pilots
 from psdalign.quadrature import adaptive_gl
 from psdalign.simkit import ExactModel
+
+from oracles import mmse_estimate
 
 
 def clarke_terms(F, P, shifts=(0,), power=1.0):

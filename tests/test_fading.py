@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from psdalign.fading import (
+    EIGENVALUE_FLOOR_REL,
     DopplerSpectrum,
+    SampledPsd,
     build_covariance,
     complex_normal,
     grid_frequencies,
     stacked_psd,
+    support_runs,
 )
 from psdalign.simkit import CirculantModel, ExactModel
 
@@ -162,14 +165,22 @@ class TestReadOnlyOutputs:
     )
     def test_sample_eigenvalues(self, spectrum):
         lam = spectrum.sample_eigenvalues(256)
-        assert lam.base is None and not lam.flags.writeable
+        assert isinstance(lam, SampledPsd) and not lam.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             lam[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             lam *= 2.0
+        # neither the sample nor the buffer under it can be made writable again
+        for array in (lam, lam.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
         copy = lam.copy()
         copy[0] = 1.0
+        assert copy.runs is None and lam.runs is not None
         assert spectrum.sample_eigenvalues(256) is not lam
+        # reductions give numpy scalars, as on a plain array
+        for value in (lam.max(), lam.sum(), np.mean(lam), lam @ lam):
+            assert type(value) is np.float64
 
     @pytest.mark.parametrize("P", [2, 7, 100, 4096])
     def test_grid_frequencies(self, P):
@@ -181,6 +192,74 @@ class TestReadOnlyOutputs:
         fresh = np.arange(P) / P
         assert np.array_equal(xi, np.where(fresh > 0.5, fresh - 1.0, fresh))
         assert grid_frequencies.cache_info().maxsize is not None
+
+
+def full_grid_samples(spectrum, P):
+    """The full-grid evaluation that `sample_eigenvalues` narrowed to a window of bins (oracle)."""
+    xi = grid_frequencies(P)
+    if spectrum.kind == "flat":
+        lo, hi = spectrum.band
+        return np.where((xi >= lo) & (xi <= hi), spectrum.power / (hi - lo), 0.0)
+    F = spectrum.max_doppler
+    lam = np.zeros(P)
+    inside = np.abs(xi) < F
+    lam[inside] = spectrum.power / (np.pi * np.sqrt(F**2 - xi[inside] ** 2))
+    for i in np.flatnonzero(np.abs(np.abs(xi) - F) < 1e-15):
+        a = np.clip(xi[i] - 0.5 / P, -F, F)
+        b = np.clip(xi[i] + 0.5 / P, -F, F)
+        lam[i] = P * (spectrum.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi)
+    return lam
+
+
+@st.composite
+def sampled_spectra(draw):
+    """(spectrum, P): bathtubs with F anywhere, on multiples of 1/P or at 1/2 less 0, 1e-15 or half a bin; flat bands
+    with edges anywhere, on multiples of 1/P or at +-1/2; powers of 0 and more."""
+    P = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 512, 4096]), st.integers(1, 4096)))
+    power = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 10.0)))
+    case = draw(st.sampled_from(["any", "on bins", "near half", "flat"]))
+    if case == "flat":
+        edge = st.one_of(
+            st.sampled_from([-0.5, 0.5]), st.integers(-(P // 2), P // 2).map(lambda m: m / P), st.floats(-0.5, 0.5)
+        )
+        lo, hi = sorted((draw(edge), draw(edge)))
+        # a band too narrow for a finite density is rejected (test_band_too_narrow_for_a_finite_density_rejected)
+        assume(lo < hi and math.isfinite(power / (hi - lo)))
+        return DopplerSpectrum.flat_band(lo, hi, power=power), P
+    if case == "any":
+        F = draw(st.floats(1e-9, 0.5))
+    elif case == "on bins":
+        F = min(0.5, draw(st.integers(1, max(1, P // 2))) / P)
+    else:
+        F = 0.5 - draw(st.sampled_from([0.0, 1e-15, 0.5 / P]))
+    return DopplerSpectrum.clarke(F if F > 0 else 0.5, power=power), P
+
+
+class TestSampledPsd:
+    @given(sampled_spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_full_grid_with_their_runs(self, case):
+        spectrum, P = case
+        lam = spectrum.sample_eigenvalues(P)
+        assert type(lam) is SampledPsd and lam.shape == (P,)
+        assert lam.tobytes() == full_grid_samples(spectrum, P).tobytes()
+        plain = np.array(lam)
+        assert lam.runs == support_runs(plain, EIGENVALUE_FLOOR_REL)
+        # every bin that carries power clears the floor, so the runs are the support
+        peak = plain.max()
+        assert np.array_equal(plain > 0.0, plain > EIGENVALUE_FLOOR_REL * peak)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            DopplerSpectrum.clarke(0.01, power=power)
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            DopplerSpectrum.flat_band(-0.1, 0.1, power=power)
+
+    def test_band_too_narrow_for_a_finite_density_rejected(self):
+        # a finite power on a band so narrow that its density overflows
+        with pytest.raises(ValueError, match="too narrow for a finite density"):
+            DopplerSpectrum.flat_band(0.0, 1e-310)
 
 
 class TestBuildCovariance:

@@ -1,4 +1,4 @@
-import weakref
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import toeplitz
 
-from psdalign import pilots
+from psdalign import fading, pilots
 from psdalign.fading import DopplerSpectrum, arc_gaps, build_covariance, grid_frequencies
 from psdalign.pilots import (
     AlignmentPlan,
@@ -250,7 +250,7 @@ class TestShiftOrthogonal:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_run_overlap_of_an_array_of_shifts_matches_each_shift(self, data):
-        """`_runs_overlap` over an array of shifts, as criterion 9 batches it, against `shift_orthogonal` per shift."""
+        """`runs_overlap` over an array of shifts, as criterion 9 batches it, against `shift_orthogonal` per shift."""
         P = data.draw(st.integers(8, 64))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # a few runs each, some across bin 0, or no support at all
@@ -260,7 +260,7 @@ class TestShiftOrthogonal:
         overlap = np.zeros(shape, dtype=bool)
         for run_k in pilots._support_runs(lam_k, pilots.EIGENVALUE_FLOOR_REL):
             for run_g in pilots._support_runs(lam_g, pilots.EIGENVALUE_FLOOR_REL):
-                overlap |= pilots._runs_overlap(run_k, run_g, dtau, P)
+                overlap |= pilots.runs_overlap(run_k, run_g, dtau, P)
         expected = [shift_orthogonal(lam_k, lam_g, d) for d in dtau.ravel().tolist()]
         assert (~overlap).ravel().tolist() == expected
 
@@ -558,23 +558,16 @@ def run_masks(draw, max_P=4096):
     return lam
 
 
-def read_only(lam):
-    """A read-only copy of lam that owns its data, as `sample_eigenvalues` returns."""
-    lam = np.array(lam, dtype=float)
-    lam.flags.writeable = False
-    return lam
-
-
 class TestSupportRunsMemo:
-    """The runs of a read-only vector are memoized by identity; every answer must stay exact."""
+    """A sample carries the runs it was built with; every other vector finds them afresh. Every answer stays exact."""
 
     @given(run_masks())
     @settings(max_examples=100, deadline=None)
     def test_matches_bin_scan_up_to_4096(self, lam):
         assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
-        # a read-only copy is memoized; its second lookup hits the memo
-        frozen = read_only(lam)
-        assert pilots._support_runs(frozen, 1e-6) == scan_support_runs(lam, 1e-6)
+        # a read-only copy finds the same runs
+        frozen = lam.copy()
+        frozen.flags.writeable = False
         assert pilots._support_runs(frozen, 1e-6) == scan_support_runs(lam, 1e-6)
 
     def test_in_place_mutation_between_calls(self):
@@ -599,66 +592,53 @@ class TestSupportRunsMemo:
         assert shift_orthogonal(lam, other, 0) is True
 
     def test_runs_found_once_per_vector(self):
-        """A 40-user set's 780 pair checks find each vector's runs once."""
+        """Sampling a 40-user set finds each vector's runs once; its 780 pair checks find none."""
         P = 4096
         dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
         plan = plan_alignment(dopplers, [(-0.375, 0.375)], P)
-        lams = [DopplerSpectrum.clarke(F).sample_eigenvalues(P) for F in dopplers]
-        with mock.patch.object(pilots, "_runs", wraps=pilots._runs) as found:
+        with mock.patch.object(fading, "support_runs", wraps=fading.support_runs) as sampled:
+            lams = [DopplerSpectrum.clarke(F).sample_eigenvalues(P) for F in dopplers]
+        assert sampled.call_count == 40
+        with mock.patch.object(pilots, "support_runs", wraps=pilots.support_runs) as found:
             for k in range(40):
                 for g in range(k + 1, 40):
                     assert shift_orthogonal(lams[k], lams[g], plan.shifts[g] - plan.shifts[k])
-        assert found.call_count == 40
-        assert sorted(id(call.args[0]) for call in found.call_args_list) == sorted(map(id, lams))
-
-    def test_collected_vector_drops_its_entry(self):
-        P = 512
-        reused = 0
-        for _ in range(20):
-            lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(P)
-            assert pilots._support_runs(lam, 1e-10) == [(-5, 5)]
-            key = id(lam)
-            assert key in pilots._RUNS_MEMO
-            del lam
-            assert key not in pilots._RUNS_MEMO
-            # a new vector, often at the collected one's address, with other runs
-            new = np.zeros(P)
-            new[100:110] = 1.0
-            new.flags.writeable = False
-            reused += id(new) == key
-            assert pilots._support_runs(new, 1e-10) == scan_support_runs(new, 1e-10) == [(100, 109)]
-        assert reused
-
-    def test_entry_of_another_array_is_not_trusted(self, monkeypatch):
-        lam = read_only(np.eye(64)[3])
-        stand_in = read_only(np.eye(64)[40])
-        # an entry under lam's id whose reference resolves to another array
-        stale = (weakref.ref(stand_in), 1e-10, ((-24, -24),))
-        monkeypatch.setitem(pilots._RUNS_MEMO, id(lam), stale)
-        assert pilots._support_runs(lam, 1e-10) == [(3, 3)]
-        assert pilots._RUNS_MEMO[id(lam)][0]() is lam
+        assert found.call_count == 0
 
     def test_vector_made_writable_and_mutated_gets_fresh_runs(self):
         lam = DopplerSpectrum.clarke(0.01).sample_eigenvalues(512)
-        assert pilots._support_runs(lam, 1e-10) == [(-5, 5)]
-        assert id(lam) in pilots._RUNS_MEMO
-        lam.flags.writeable = True
-        lam[15] = 1.0
-        assert pilots._support_runs(lam, 1e-10) == scan_support_runs(lam, 1e-10) == [(-5, 5), (15, 15)]
-        assert id(lam) not in pilots._RUNS_MEMO
-        # read-only again: memoized afresh
-        lam.flags.writeable = False
-        assert pilots._support_runs(lam, 1e-10) == [(-5, 5), (15, 15)]
-        assert pilots._RUNS_MEMO[id(lam)][0]() is lam
+        other = DopplerSpectrum.clarke(0.01).sample_eigenvalues(512)
+        assert shift_orthogonal(lam, other, 20) is True
+        # the sample, and the buffer under it, cannot be made writable again,
+        # so its carried runs cannot go stale
+        for array in (lam, lam.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
+        # a copy takes the write and finds its runs afresh
+        copy = lam.copy()
+        copy[15] = 1.0
+        assert copy.runs is None
+        assert pilots._support_runs(copy, 1e-10) == scan_support_runs(copy, 1e-10) == [(-5, 5), (15, 15)]
+        assert shift_orthogonal(copy, other, 20) is False
+        assert shift_orthogonal(np.array(copy), other, 20) is False
+        assert shift_orthogonal(lam, other, 20) is True
 
     def test_floor_and_views(self):
-        lam = read_only(np.r_[np.zeros(10), 1e-7, 1.0, 1e-7, np.zeros(10)])
+        lam = DopplerSpectrum.flat_band(-0.1, 0.1).sample_eigenvalues(64)
+        # a floor other than the one the runs were found at finds them afresh
+        with mock.patch.object(pilots, "support_runs", wraps=pilots.support_runs) as found:
+            assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
+            assert pilots._support_runs(lam, pilots.EIGENVALUE_FLOOR_REL) == list(lam.runs)
+        assert found.call_count == 1
+        lam = np.r_[np.zeros(10), 1e-7, 1.0, 1e-7, np.zeros(10)]
         assert pilots._support_runs(lam, 1e-6) == [(11, 11)]
         assert pilots._support_runs(lam, 1e-8) == [(10, 12)]
-        assert pilots._RUNS_MEMO[id(lam)][1] == 1e-8
-        view = lam[1:]
-        assert pilots._support_runs(view, 1e-8) == scan_support_runs(view, 1e-8)
-        assert id(view) not in pilots._RUNS_MEMO
+        # views, copies, arithmetic and unpickled copies of a sample carry no runs
+        sample = DopplerSpectrum.clarke(0.01).sample_eigenvalues(512)
+        for derived in (sample[1:], sample[::2], sample.copy(), sample * 1.0, pickle.loads(pickle.dumps(sample))):
+            assert derived.runs is None
+            for floor in (1e-8, pilots.EIGENVALUE_FLOOR_REL):
+                assert pilots._support_runs(derived, floor) == scan_support_runs(derived, floor)
 
     @pytest.mark.parametrize(
         "lam",
@@ -681,26 +661,25 @@ class TestSupportRunsMemo:
         lam[0] = bad
         with pytest.raises(ValueError, match="non-finite peak"):
             shift_orthogonal(lam, clean, 0)
-        # read-only: raised again on every lookup, and nothing memoized
-        frozen = read_only(lam)
+        # read-only: raised again on every lookup
+        frozen = np.array(lam)
+        frozen.flags.writeable = False
         for _ in range(2):
             with pytest.raises(ValueError, match="non-finite peak"):
                 shift_orthogonal(clean, frozen, 0)
-        assert id(frozen) not in pilots._RUNS_MEMO
         assert shift_orthogonal(clean, clean, 0) is False
 
-    def test_memo_holds_only_live_vectors(self):
-        before = len(pilots._RUNS_MEMO)
-        P = 24
-        for bits in range(1, 600):
-            lam = read_only((bits >> np.arange(P)) & 1)
-            assert pilots._support_runs(lam, 1e-6) == scan_support_runs(lam, 1e-6)
-        del lam
-        assert len(pilots._RUNS_MEMO) <= before
+
+def support_masks(plan):
+    """(K, P) boolean matrix of grid bins carrying each shifted spectrum, from the plan's windows."""
+    bins, hit = plan._support_bins()
+    masks = np.zeros((plan.K, plan.P), dtype=bool)
+    np.put_along_axis(masks, bins, hit, axis=1)
+    return masks
 
 
 def loop_support_masks(plan):
-    """The per-user loop `support_masks` replaced (oracle)."""
+    """The per-user loop that `support_masks` replaced (oracle)."""
     xi = grid_frequencies(plan.P)
     masks = np.zeros((plan.K, plan.P), dtype=bool)
     for k, (lo, hi) in enumerate(plan.supports()):
@@ -749,7 +728,7 @@ class TestSupportMasks:
         dopplers = data.draw(st.lists(doppler, min_size=K, max_size=K))
         shifts = data.draw(st.lists(shift, min_size=K, max_size=K))
         plan = AlignmentPlan(dopplers=tuple(dopplers), shifts=tuple(shifts), P=P)
-        got = plan.support_masks()
+        got = support_masks(plan)
         assert got.dtype == bool and got.shape == (K, P)
         assert np.array_equal(got, loop_support_masks(plan))
 
@@ -757,7 +736,7 @@ class TestSupportMasks:
     @settings(max_examples=150, deadline=None)
     def test_windows_bit_identical_at_the_edges(self, plan):
         masks = loop_support_masks(plan)
-        assert np.array_equal(plan.support_masks(), masks)
+        assert np.array_equal(support_masks(plan), masks)
         assert plan.pairwise_orthogonal() == (not (masks.sum(axis=0) > 1).any())
 
     @pytest.mark.parametrize(
@@ -776,18 +755,18 @@ class TestSupportMasks:
         plan = AlignmentPlan(dopplers=dopplers, shifts=shifts, P=64)
         with np.errstate(invalid="ignore"):
             masks = loop_support_masks(plan)
-            assert np.array_equal(plan.support_masks(), masks)
+            assert np.array_equal(support_masks(plan), masks)
             assert plan.pairwise_orthogonal() == (not (masks.sum(axis=0) > 1).any())
 
     def test_planned_mixed_doppler_set(self):
         dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
         plan = plan_alignment(dopplers, [(-0.375, 0.375)], 4096)
-        assert np.array_equal(plan.support_masks(), loop_support_masks(plan))
+        assert np.array_equal(support_masks(plan), loop_support_masks(plan))
         assert plan.pairwise_orthogonal()
 
     def test_empty_plan(self):
         plan = AlignmentPlan(dopplers=(), shifts=(), P=16)
-        assert plan.support_masks().shape == (0, 16)
+        assert support_masks(plan).shape == (0, 16)
         assert plan.pairwise_orthogonal()
 
 def gap(int_a, int_b):

@@ -25,6 +25,8 @@ from psdalign.simkit import (
     write_mse_csv,
 )
 
+from oracles import mmse_estimate
+
 
 def array_bytes(obj, seen=None):
     """Bytes of the arrays an object holds, through its attributes and containers."""
@@ -487,7 +489,7 @@ class TestCirculantSupport:
 class TestTrialAgainstDenseOracle:
     """The trial's per-user error power and downlink estimates against dense matrices.
 
-    The dense route is `estimation.mmse_estimate` on the trial's own terms: it
+    The dense route is `oracles.mmse_estimate` on the trial's own terms: it
     solves E[y y^H] z = y by Cholesky and estimates h_hat_k = sqrt(rho) R
     (conj(x_k) z) with the model's P x P covariance.
     Ramp pilots take the structured solver; Hadamard pilots, on a window of
@@ -543,7 +545,7 @@ class TestTrialAgainstDenseOracle:
         if contamination:
             terms.append((1.0, s.cont.covariance(), None))
         for k, d in enumerate(draws):
-            h_hat = estimation.mmse_estimate(y, s.sigma2, terms, k)
+            h_hat = mmse_estimate(y, s.sigma2, terms, k)
             error = np.mean(np.abs(d.window.T - h_hat) ** 2)
             assert abs(nmse[k] - error) <= 1e-9 * error
             want = d.window[:, -1] if perfect_csi else h_hat[-1]
