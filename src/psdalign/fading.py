@@ -131,13 +131,16 @@ def support_runs(lam, floor_rel):
         raise ValueError(f"eigenvalue vector has a non-finite peak ({peak})")
     if peak <= 0.0:
         return ()
-    mask = lam > floor_rel * peak
-    # unwrap to a centered axis so a support straddling bin 0 stays contiguous,
-    # padded with a clear bin at each end so every run has a start and an end
+    floor = floor_rel * peak
+    # the mask above the floor, unwrapped to a centered axis so a support
+    # straddling bin 0 stays contiguous, padded with a clear bin at each end
+    # so every run has a start and an end
     half = P // 2
-    padded = np.concatenate(([False], mask[P - half :], mask[: P - half], [False]))
-    # a boolean diff is True where the mask changes: run starts, and one past run ends
-    change = np.flatnonzero(np.diff(padded))
+    padded = np.zeros(P + 2, dtype=bool)
+    np.greater(lam[P - half :], floor, out=padded[1 : half + 1])
+    np.greater(lam[: P - half], floor, out=padded[half + 1 : -1])
+    # True where the mask changes: run starts, and one past run ends
+    change = np.flatnonzero(padded[1:] != padded[:-1])
     runs = list(zip(change[::2].tolist(), (change[1::2] - 1).tolist()))
     # wrap-around merge: run touching both ends is one circular run
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == P - 1:
@@ -249,9 +252,9 @@ class DopplerSpectrum:
         Bins hit exactly by a singular bathtub edge get the bin-averaged mass
         instead of the (infinite) pointwise value: P times the arcsine mass
         (power/pi)(arcsin(b/F) - arcsin(a/F)) of the bin [a, b] clipped to the band.
-        The bathtub is evaluated only on the bins within ceil(F P) + 1 of bin 0
-        (the whole grid when that window covers it): no other bin lies within
-        1e-15 of the band.
+        The bathtub is evaluated, and its support runs found, only on the bins
+        within ceil(F P) + 1 of bin 0 (the whole grid when that window covers
+        it): no other bin lies within 1e-15 of the band.
 
         The samples are read-only and carry their support runs; take a copy
         to change them.
@@ -261,7 +264,8 @@ class DopplerSpectrum:
             F = self.max_doppler
             lam = np.zeros(P)
             reach = math.ceil(F * P) + 1
-            bins = np.arange(-reach, reach + 1) % P if 2 * reach + 1 < P else np.arange(P)
+            # the window in FFT order, bins 0..reach then -reach..-1
+            bins = np.concatenate((np.arange(reach + 1), np.arange(P - reach, P))) if 2 * reach + 1 < P else np.arange(P)
             x = xi[bins]
             inside = np.abs(x) < F
             lam[bins[inside]] = self.power / (np.pi * np.sqrt(F**2 - x[inside] ** 2))
@@ -269,11 +273,15 @@ class DopplerSpectrum:
                 a = np.clip(xi[i] - 0.5 / P, -F, F)
                 b = np.clip(xi[i] + 0.5 / P, -F, F)
                 lam[i] = P * (self.power * (np.arcsin(b / F) - np.arcsin(a / F)) / np.pi)
+            # on a window every other bin is zero, and so are its ends, bins
+            # -reach and reach: no run wraps, and the window's runs, in the
+            # same bin coordinates, are the grid's
+            support = lam[bins]
         else:
             lo, hi = self.band
-            lam = np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
+            lam = support = np.where((xi >= lo) & (xi <= hi), self.power / (hi - lo), 0.0)
         sample = np.frombuffer(lam.tobytes()).view(SampledPsd)
-        sample.runs = support_runs(lam, EIGENVALUE_FLOOR_REL)
+        sample.runs = support_runs(support, EIGENVALUE_FLOOR_REL)
         return sample
 
     def synthesis_nodes(self, max_lag):

@@ -34,9 +34,10 @@ class Type1:
     """f = T(c), (M, N), for a (Q, M) block of strengths c at the nodes given at construction.
 
     The direct sum is cheaper for few nodes: it is used, with its N x Q phase
-    matrix built once, when Q <= 16 log2(2N) (the measured crossover with 16
-    columns on one BLAS thread); otherwise the spreading weights and the
-    deconvolution are built once and each call grids.
+    matrix `phases` built once, when Q <= 16 log2(2N) (the measured crossover
+    with 16 columns on one BLAS thread); otherwise `phases` is None, the
+    spreading weights and the deconvolution are built once, and each call
+    grids on `grid_size` points.
     """
 
     def __init__(self, nodes, N):
@@ -47,9 +48,9 @@ class Type1:
         # is exact and keeps the phase arguments small
         self.nodes = xi - np.round(xi)
         self.N = N
-        self._phases = self._spread = None
+        self.phases = self.grid_size = self._spread = None
         if self.nodes.size <= 16 * math.log2(2 * N):
-            self._phases = _phases(self.nodes, N)
+            self.phases = _phases(self.nodes, N)
         else:
             self._grid()
 
@@ -64,7 +65,7 @@ class Type1:
         from scipy.sparse import csr_array
 
         N, Q = self.N, self.nodes.size
-        size = next_fast_len(2 * N)
+        self.grid_size = size = next_fast_len(2 * N)
         tau = math.pi * SPREAD / (size * (size - N / 2))
         centre = N // 2
         x = self.nodes % 1.0
@@ -79,25 +80,40 @@ class Type1:
         self._gather = k % size
         self._deconvolve = math.sqrt(math.pi / tau) * np.exp(tau * k**2)
 
-    def __call__(self, c):
-        """(M, N) sums for a (Q, M) block of strengths: one row of N outputs per column of c."""
+    def __call__(self, c, out=None, grid=None):
+        """(M, N) sums for a (Q, M) block of strengths: one row of N outputs per column of c.
+
+        `out` and `grid` are 1-D complex buffers of at least M * N and
+        M * `grid_size` elements, which receive the sums and the grid; each is
+        allocated when not given. The direct sum is written as the (N, M)
+        product, bit for bit that of `dense`, so its result is a column-major
+        view; the gridded sums are C-contiguous.
+        """
+        N, M = self.N, c.shape[1]
+        out = np.empty(N * M, dtype=complex) if out is None else out[: N * M]
         if self._spread is None:
-            return self.dense(c)
-        # the real weights spread the real and imaginary parts of the centred
-        # strengths as 2M real columns; one grid row per column of c, so the
-        # inverse FFT runs along the contiguous axis
-        spread = self._spread @ np.ascontiguousarray(c * self._centre).view(float)
-        grid = np.ascontiguousarray(spread.view(complex).T)
+            return np.matmul(self.phases, c, out=out.reshape(N, M)).T
+        size, Q = self.grid_size, c.shape[0]
+        grid = np.empty(M * size, dtype=complex) if grid is None else grid[: M * size]
+        # the centred strengths, in the grid's memory while they fit: the grid
+        # is written only once they have been spread
+        centred = grid[: Q * M].reshape(Q, M) if Q <= size else np.empty((Q, M), dtype=complex)
+        np.multiply(c, self._centre, out=centred)
+        # the real weights spread their real and imaginary parts as 2M real
+        # columns; one grid row per column of c, so the inverse FFT runs along
+        # the contiguous axis
+        spread = self._spread @ centred.view(float)
+        grid = grid.reshape(M, size)
+        np.copyto(grid, spread.view(complex).T)
         del spread
-        # in place, so one grid fewer is alive at a time: with a second grid,
-        # the exact model's trials at P=1024 returned heap pages to the OS
-        # and faulted about 1000 of them back in every trial
         np.fft.ifft(grid, out=grid)
-        out = np.take(grid, self._gather, axis=1)
+        # the gather indices are in range: "wrap" writes into out without the
+        # buffer np.take makes for out= in its default mode
+        out = np.take(grid, self._gather, axis=1, out=out.reshape(M, N), mode="wrap")
         out *= self._deconvolve
         return out
 
     def dense(self, c):
         """The direct sum as (M, N), whichever way the transform evaluates: the reference for tests."""
-        phases = self._phases if self._phases is not None else _phases(self.nodes, self.N)
+        phases = self.phases if self.phases is not None else _phases(self.nodes, self.N)
         return (phases @ c).T

@@ -35,9 +35,17 @@ error power and last-slot estimate h_hat_k = sqrt(rho) R (conj(x_k) z).
   underlying continuous-time process; its window-averaged error converges to
   the same limit but visibly slower, which is itself one of the toolkit's
   cross-checks. A draw sums complex exponentials at the nodes of a quadrature
-  of the spectral measure, through the type-1 NUFFT of `psdalign.nufft`
-  (directly for the few nodes of a narrow Clarke band): no P x Q matrix is
-  kept. It estimates in the time domain, against what each user sent,
+  of the spectral measure, h = Phi c, through the type-1 NUFFT of
+  `psdalign.nufft` (directly for the few nodes of a narrow Clarke band): no
+  P x Q matrix is kept for a wide band. The same nodes give the window's
+  covariance, R = Phi_P A Phi_P^H with A the squared amplitudes, so with
+  ramp pilots a user with few nodes (below `NODE_BASIS_PER_OCTAVE`, the
+  default user at every P) keeps c, (M, Q), and estimates as the circulant
+  model does on its bins: R W = (W conj(Phi_P) A) Phi_P^T, an (M, P) @ (P, Q)
+  product, the error power a Q x Q form with the Gram matrix of Phi_P, and
+  the last-slot estimate one row of Phi_P. The trial then takes no transform
+  beyond the solve's six and the contamination's grid. A user with more
+  nodes estimates in the time domain, against what each user sent,
   sqrt(rho) x_k h_k, which the trial forms for the observation anyway. With
   T(c) the Hermitian Toeplitz matrix of first column c, R = T(r), and a ramp
   pilot, R Diag(conj(x_k)) = Diag(conj(x_k)) T(r x_k), so
@@ -46,19 +54,23 @@ error power and last-slot estimate h_hat_k = sqrt(rho) R (conj(x_k) z).
   from the same fft(z) and fft(D z) and take two inverse FFTs each
   (`_shared_transforms`), 2 + 2K transforms against 4K for separate
   products. Hadamard pilots, on their window of K slots, take a dense
-  product with the K x K covariance (`_dense_products`).
+  product with the K x K covariance (`_dense_products`) at any node count:
+  one batched product there is faster than node coordinates user by user.
 
 `run_experiment` gives each worker a contiguous block of trials and one
 `Workspace`, which its first trial fills with the blocks every trial reuses:
 the white draws (`complex_normal` with `out=`) and their float scratch plane,
 the observation, the window, the solve's two blocks and the bases. The
 circulant model's FFTs and the solve's six run in place there, so after the
-first trial a circulant trial allocates no (M, P) block. So do the exact
-model's shared transforms, in the solve's blocks and in those of the
-observation and the noise, which nothing reads once the solve returns; its
-draws' NUFFT output is still allocated every draw.
+first trial a circulant trial allocates no (M, P) block. The exact model's
+draws write their sums, and a gridded NUFFT its grid, into the workspace,
+and its estimates allocate only (M, Q) blocks; its shared transforms run in
+the solve's blocks and in those of the observation and the noise, which
+nothing reads once the solve returns. What an exact trial still allocates
+is the (G, 2M) float block of the gridded NUFFT's sparse spreading product.
 """
 
+import functools
 import json
 import logging
 import math
@@ -71,6 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
+from scipy.linalg.blas import zgemm
 
 from . import estimation, pilots
 from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
@@ -185,10 +198,10 @@ class ChannelDraw(NamedTuple):
     `window` holds the P window slots, `downlink` the (M,) sample `dl_lag`
     slots past them, and `basis` the draw as the trial keeps it for its
     estimate stage: the spectrum on the support bins for the circulant model;
-    the window itself for the exact model, which the trial then modulates in
-    place into what the user sent, sqrt(rho) x_k h_k. A draw into a
-    `Workspace` may keep its arrays there, until the next draw into the same
-    workspace.
+    the strengths c of the synthesis nodes, (M, Q), for a nodal exact model;
+    otherwise the window itself, which the trial then modulates in place into
+    what the user sent, sqrt(rho) x_k h_k. A draw into a `Workspace` may keep
+    its arrays there, until the next draw into the same workspace.
     """
 
     window: np.ndarray
@@ -312,26 +325,51 @@ class CirculantModel:
         return estimation.mse_from_eigenvalues(self.lam, power, noise_var)
 
 
+# synthesis nodes per octave of 2(P + dl_lag) up to which the exact model with
+# ramp pilots estimates in the coordinates of its nodes, an (M, P) @ (P, Q)
+# product and a Q x Q form a user, rather than on shared transforms, two
+# inverse FFTs a user (measured on default trials, M = 16 and K = 8, on one
+# BLAS thread: the two break even at Q = 80, 92-111 and 117 for P = 512, 1024
+# and 4096, where this gives 80, 88 and 104); half of `nufft.Type1`'s rule, so
+# below it the synthesis holds its phases
+NODE_BASIS_PER_OCTAVE = 8
+
+
 class ExactModel:
     """Exact Toeplitz statistics, drawn from a quadrature of the spectral measure.
 
     Draws as CirculantModel does. One draw synthesizes the window and the
     `dl_lag` slots after it, so the downlink sample is exactly as correlated
-    with the window as in the process: sum_q amp_q g_q exp(2j*pi*n*xi_q) for
-    n = 0..P-1+dl_lag with white g_q, a type-1 NUFFT of the nodes xi_q
-    (`nufft.Type1`, which keeps the direct sum for few nodes). The P x P
-    covariance is built on request only. The model has no `estimate`: the
-    trial's estimate stage forms each user's product with R together with
-    the user's pilot (`_shared_transforms`, `_dense_products`), and
-    `toeplitz`, the product with R alone, serves criterion 10a.
+    with the window as in the process: h = Phi c, sum_q c_q exp(2j*pi*n*xi_q)
+    for n = 0..P-1+dl_lag with c = amp * g for white g, a type-1 NUFFT of the
+    nodes xi_q (`nufft.Type1`, which keeps the direct sum for few nodes). The
+    P x P covariance is built on request only, and `toeplitz`, the product
+    with R alone, serves criterion 10a.
+
+    The same nodes reproduce the autocorrelation on the window, so
+    R = Phi_P A Phi_P^H with A = Diag(amp^2) and Phi_P the window's P rows of
+    Phi. With `node_basis` and at most `NODE_BASIS_PER_OCTAVE`
+    log2(2(P + dl_lag)) nodes the model is `nodal`: the basis of a draw is c,
+    (M, Q), and `estimate` and `mse` work in node coordinates, on the Gram
+    matrix of Phi_P, built when first used. Otherwise the basis is the
+    window, and the trial's estimate stage forms each user's product with R
+    together with the user's pilot (`_shared_transforms`, `_dense_products`).
     """
 
-    def __init__(self, spectrum, P, dl_lag=0):
+    def __init__(self, spectrum, P, dl_lag=0, node_basis=True):
         self.P = P
         self.cov = build_covariance(spectrum, P)
         self.toeplitz = HermitianToeplitz(self.column())
         xi, self.amp = spectrum.synthesis_nodes(max_lag=P - 1 + dl_lag)
         self.synthesis = Type1(xi, P + dl_lag)
+        few = xi.size <= NODE_BASIS_PER_OCTAVE * math.log2(2 * (P + dl_lag))
+        self.nodal = node_basis and few and self.synthesis.phases is not None
+
+    @functools.cached_property
+    def _gram(self):
+        """The Gram matrix Phi_P^T conj(Phi_P): |Phi_P e|^2 = e G e^H for a row e."""
+        window = self.synthesis.phases[: self.P]
+        return window.T @ np.conj(window)
 
     def column(self):
         """First column of the Toeplitz covariance: the autocorrelation at lags 0..P-1."""
@@ -341,25 +379,55 @@ class ExactModel:
         return self.cov.toeplitz()
 
     def window(self, rng, M, ws=None):
-        """The (M, P) window of one draw: `draw`'s window, which is also its basis, with nothing left out."""
+        """The (M, P) window of one draw: `draw`'s window, with nothing left out."""
         return self.draw(rng, M, ws).window
 
     def draw(self, rng, M, ws=None):
-        """A ChannelDraw; the basis is the window itself."""
+        """A ChannelDraw; the basis is c, (M, Q), when the model is nodal, and the window otherwise."""
         ws = Workspace() if ws is None else ws
         strengths = _white(rng, (self.amp.size, M), ws)
         np.multiply(self.amp[:, None], strengths, out=strengths)
-        block = self.synthesis(strengths)
+        synthesis = self.synthesis
+        grid = None if synthesis.grid_size is None else ws.get("grid", (M * synthesis.grid_size,))
+        block = synthesis(strengths, out=ws.get("synthesis", (M * synthesis.N,)), grid=grid)
         window = block[:, : self.P]
-        return ChannelDraw(window, block[:, -1], window)
+        return ChannelDraw(window, block[:, -1], strengths.T if self.nodal else window)
+
+    def estimate(self, basis, W, ws=None):
+        """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W, in node coordinates.
+
+        h_hat = a Phi_P^T with a = (W conj(Phi_P)) A, so the error against the
+        draw whose basis c is given is (c - a) Phi_P^T, and its mean power over
+        the window is sum_m e_m G e_m^H / (M P) with e = c - a. Only a nodal
+        model estimates; `ws` is not used.
+        """
+        window = self.synthesis.phases[: self.P]
+        # W conj(Phi_P) in one BLAS product with the conjugate transpose of
+        # Phi_P^T, so that no conjugate copy of the phases is kept
+        a = zgemm(1.0, W.T, window.T, trans_a=1, trans_b=2)
+        a *= self.amp**2
+        last = a @ window[-1]
+        a -= basis
+        return float(np.vdot(a, a @ self._gram).real) / W.size, last
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE: sigma^2 (P - sigma^2 tr(B^{-1})) / (rho P).
 
         B = sigma^2 I + rho R is the single-user observation covariance; a
         unit-modulus pilot cancels from the error covariance
-        R - rho R B^{-1} R = (sigma^2 / rho)(I - sigma^2 B^{-1}).
+        R - rho R B^{-1} R = (sigma^2 / rho)(I - sigma^2 B^{-1}). A nodal model
+        sums over the nonzero eigenvalues mu of R, those of A^(1/2) G A^(1/2):
+        sigma^2 sum mu / (sigma^2 + rho mu) / P, which does not cancel. Each
+        mu is taken as |Phi_P A^(1/2) conj(v)|^2 for its eigenvector v: the
+        Gram form's own eigenvalues are each off by about eps * P, which moved
+        the MSE by 3e-9 at 60 dB and P = 32. Otherwise the trace comes from
+        the Toeplitz inverse of B.
         """
+        if self.nodal:
+            vectors = np.linalg.eigh(self.amp[:, None] * self._gram * self.amp)[1]
+            images = self.synthesis.phases[: self.P] @ np.conj(self.amp[:, None] * vectors)
+            mu = np.sum(images.real**2 + images.imag**2, axis=0)
+            return noise_var * float(np.sum(mu / (noise_var + power * mu))) / self.P
         B = estimation.observation_column(self.P, noise_var, [(power, self.column(), None)])
         inverse = ToeplitzInverse(B)
         return noise_var * (self.P - noise_var * inverse.trace()) / (power * self.P)
@@ -387,8 +455,15 @@ def _scene(config, P, pilot_matrix):
     # what a trial sends, sqrt(rho) x_k, and its estimator weights, sqrt(rho) conj(x_k)
     s.tx = math.sqrt(s.rho) * pilot_matrix
     s.weights = np.conj(s.tx)
-    s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag)
+    # Hadamard pilots keep the exact model's window at any node count: on
+    # their window of K slots one batched dense product is faster than node
+    # coordinates user by user
+    options = {"node_basis": config.scheme != "hadamard"} if config.channel_model == "exact" else {}
+    s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag, **options)
     s.cont = None if cont is None else model(cont, P)
+    # the exact model above its node-basis crossover, or with Hadamard
+    # pilots, estimates in the time domain, together with each user's pilot
+    s.in_time = config.channel_model == "exact" and not s.user.nodal
     return s
 
 
@@ -400,7 +475,11 @@ def _setup(config, P):
     Toeplitz and its first column determines it. Hadamard pilots take a window
     of one slot per user and factor the dense matrix by Cholesky. Each builder
     takes a (power, covariance, pilot) term per user, then the contamination's
-    unmodulated term, whose power is part of its spectrum.
+    unmodulated term, whose power is part of its spectrum. A model that
+    estimates on its own basis, the circulant model or a nodal exact model
+    (ramp pilots, few nodes), takes the users one at a time (`_each_user`);
+    any other exact model forms each user's product with R and its pilot in
+    the time domain.
     """
     if config.scheme == "hadamard":
         P = config.users
@@ -411,7 +490,7 @@ def _setup(config, P):
             terms.append((1.0, s.cont.covariance(), None))
         factor = cho_factor(estimation.observation_matrix(P, s.sigma2, terms), lower=True)
         s.solve = lambda y, buffers: cho_solve(factor, y)
-        if config.channel_model == "exact":
+        if s.in_time:
             # Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)), transposed for the (M, P) layout
             s.products = s.weights[:, :, None] * R.T * s.tx[:, None, :]
             s.estimate = _dense_products
@@ -422,11 +501,11 @@ def _setup(config, P):
         if s.cont is not None:
             terms.append((1.0, s.cont.column(), None))
         s.solve = ToeplitzInverse(estimation.observation_column(P, s.sigma2, terms)).solve
-        if config.channel_model == "exact":
+        if s.in_time:
             # a user's own term, rho Diag(x_k) R Diag(x_k)^H, is Hermitian Toeplitz
             s.products = ToeplitzProducts(estimation.observation_column(P, 0.0, [term]) for term in terms[: s.K])
             s.estimate = _shared_transforms
-    if config.channel_model == "circulant":
+    if not s.in_time:
         s.estimate = _each_user
     s.nmse_model = s.user.mse(s.rho, s.sigma2)
     snr = s.rho / s.sigma2
@@ -454,7 +533,8 @@ def _sound(s, rng, ws):
         if s.perfect_csi:
             window_ends[k] = window[:, -1]
         y += np.multiply(s.tx[k], window, out=window)
-        # the exact model's basis is its window, so it keeps the term the user sent
+        # a basis that is the window (the exact model in the time domain)
+        # keeps the term the user sent
         kept[k] = basis
     if s.cont is not None:
         y += s.cont.window(rng, s.M, ws)

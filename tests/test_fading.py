@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
@@ -213,11 +213,12 @@ def full_grid_samples(spectrum, P):
 
 @st.composite
 def sampled_spectra(draw):
-    """(spectrum, P): bathtubs with F anywhere, on multiples of 1/P or at 1/2 less 0, 1e-15 or half a bin; flat bands
-    with edges anywhere, on multiples of 1/P or at +-1/2; powers of 0 and more."""
+    """(spectrum, P): bathtubs with F anywhere, narrow (a few bins either side of bin 0, the planner's users), on
+    multiples of 1/P or at 1/2 less 0, 1e-15 or half a bin; flat bands with edges anywhere, on multiples of 1/P or at
+    +-1/2; powers of 0 and more."""
     P = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 512, 4096]), st.integers(1, 4096)))
     power = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 10.0)))
-    case = draw(st.sampled_from(["any", "on bins", "near half", "flat"]))
+    case = draw(st.sampled_from(["any", "narrow", "on bins", "near half", "flat"]))
     if case == "flat":
         edge = st.one_of(
             st.sampled_from([-0.5, 0.5]), st.integers(-(P // 2), P // 2).map(lambda m: m / P), st.floats(-0.5, 0.5)
@@ -228,6 +229,8 @@ def sampled_spectra(draw):
         return DopplerSpectrum.flat_band(lo, hi, power=power), P
     if case == "any":
         F = draw(st.floats(1e-9, 0.5))
+    elif case == "narrow":
+        F = min(0.5, draw(st.floats(1e-9, 20.0)) / P)
     elif case == "on bins":
         F = min(0.5, draw(st.integers(1, max(1, P // 2))) / P)
     else:
@@ -240,6 +243,10 @@ class TestSampledPsd:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_the_full_grid_with_their_runs(self, case):
         spectrum, P = case
+        if spectrum.kind == "clarke":
+            # the window of bins the bathtub and its runs are found on
+            windowed = 2 * (math.ceil(spectrum.max_doppler * P) + 1) + 1 < P
+            event("bathtub on a window" if windowed else "bathtub on the whole grid")
         lam = spectrum.sample_eigenvalues(P)
         assert type(lam) is SampledPsd and lam.shape == (P,)
         assert lam.tobytes() == full_grid_samples(spectrum, P).tobytes()

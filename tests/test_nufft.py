@@ -73,3 +73,16 @@ def test_rejects_bad_shapes():
         Type1(np.zeros((2, 2)), 8)
     with pytest.raises(ValueError):
         Type1(np.zeros(3), 0)
+
+
+# a direct sum, a grid that holds the centred strengths, and one that does not (Q > G = 16)
+@pytest.mark.parametrize(("Q", "N"), [(48, 1025), (1479, 1024), (3000, 8)])
+def test_writes_into_given_buffers(Q, N):
+    rng = np.random.default_rng(3)
+    nodes, c = rng.uniform(-0.5, 0.5, Q), rng.standard_normal((Q, 4)) + 1j * rng.standard_normal((Q, 4))
+    transform = Type1(nodes, N)
+    out = np.full(4 * N + 5, np.nan, dtype=complex)
+    grid = None if transform.grid_size is None else np.full(4 * transform.grid_size + 5, np.nan, dtype=complex)
+    f = transform(c, out=out, grid=grid)
+    assert f.shape == (4, N) and np.shares_memory(f, out)
+    assert np.array_equal(f, transform(c))

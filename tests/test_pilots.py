@@ -592,13 +592,16 @@ class TestSupportRunsMemo:
         assert shift_orthogonal(lam, other, 0) is True
 
     def test_runs_found_once_per_vector(self):
-        """Sampling a 40-user set finds each vector's runs once; its 780 pair checks find none."""
+        """Sampling a 40-user set finds each vector's runs once, on its window of at most 39 bins; its 780 pair checks
+        find none."""
         P = 4096
         dopplers = np.random.default_rng(5).uniform(0.001, 0.004, 40).tolist()
         plan = plan_alignment(dopplers, [(-0.375, 0.375)], P)
         with mock.patch.object(fading, "support_runs", wraps=fading.support_runs) as sampled:
             lams = [DopplerSpectrum.clarke(F).sample_eigenvalues(P) for F in dopplers]
         assert sampled.call_count == 40
+        # 2 ceil(F P) + 3 bins for F <= 0.004
+        assert all(call.args[0].size <= 39 for call in sampled.call_args_list)
         with mock.patch.object(pilots, "support_runs", wraps=pilots.support_runs) as found:
             for k in range(40):
                 for g in range(k + 1, 40):

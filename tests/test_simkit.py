@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -125,7 +125,7 @@ class TestWorkspace:
 
     # the default user's circulant support: 21 bins at P=512 (the restricted
     # DFT) and 37 at P=1024 (the FFT branch); the exact model's eight users
-    # share the spectra of the solve's output, taken in the solve's blocks
+    # keep their strengths in the workspace and estimate in node coordinates
     @pytest.mark.parametrize(
         "channel_model,P,S",
         [("circulant", 512, 21), ("circulant", 1024, 37), ("exact", 512, None), ("exact", 1024, None)],
@@ -160,8 +160,8 @@ class TestWorkspace:
         assert peak < s.M * s.P * np.dtype(complex).itemsize
 
     def test_exact_estimate_stage_allocates_under_one_block(self):
-        # after the first trial the exact model's estimate stage forms every
-        # user's product in the workspace; its draws' NUFFT output still allocates
+        # after the first trial the exact model's estimate stage allocates
+        # only (M, Q) blocks of node coordinates
         s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
         ws = simkit.Workspace()
         simkit._sound(s, np.random.default_rng(0), ws)
@@ -179,6 +179,27 @@ class TestWorkspace:
         simkit._sound(s, np.random.default_rng(1), ws)
         assert len(peaks) == 1
         assert peaks[0] < s.M * s.P * np.dtype(complex).itemsize
+
+    # the default user (48 nodes, node coordinates) and a fast one (165 nodes,
+    # time domain); the contamination band grids either way
+    @pytest.mark.parametrize("doppler_hz,nodal", [(10.0, True), (100.0, False)])
+    def test_exact_trial_allocates_only_the_contaminations_spread(self, doppler_hz, nodal):
+        # after the first trial the draws write their sums and the gridded
+        # NUFFT's grid into the workspace; what a trial still allocates is the
+        # (G, 2M) float block of scipy's sparse spreading product, two (M, P)
+        # blocks at G = 2P (a trial allocated 5.0 blocks when the grid, the
+        # centred strengths and the sums were allocated by every draw)
+        s = simkit._setup(ExperimentConfig(channel_model="exact", doppler_hz=doppler_hz), 1024)
+        assert s.user.nodal is nodal and s.cont.synthesis.grid_size == 2 * s.P
+        ws = simkit.Workspace()
+        simkit._sound(s, np.random.default_rng(0), ws)
+        tracemalloc.start()
+        try:
+            simkit._sound(s, np.random.default_rng(1), ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * s.M * s.P * np.dtype(complex).itemsize
 
     def test_contamination_leaves_no_basis(self):
         # the contamination's window is all a trial reads of it: its FFT-branch
@@ -360,17 +381,34 @@ class TestStructuredSolver:
         cfg = small_config(channel_model=channel_model, scheme="hadamard")
         assert self.dense_calls(monkeypatch, cfg).count("cho_factor") == 1
 
-    def test_exact_trial_shares_its_forward_transforms(self, fft_lengths):
-        # fft(z) and fft(D z) serve all K users' products, two inverse FFTs
-        # each, beside the solve's six; the contamination's NUFFT grids on a
-        # longer grid (the users' narrow bands take the direct sum)
-        s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
-        assert s.K == 8
+    @staticmethod
+    def trial_fft_lengths(s, fft_lengths):
+        """The transform lengths of a steady-state trial."""
         ws = simkit.Workspace()
         simkit._sound(s, np.random.default_rng(0), ws)
         built = len(fft_lengths)
         simkit._sound(s, np.random.default_rng(1), ws)
-        trial = fft_lengths[built:]
+        return fft_lengths[built:]
+
+    def test_exact_nodal_trial_takes_the_solves_transforms_alone(self, fft_lengths):
+        # the default user, 48 nodes at P=1024, estimates in node coordinates:
+        # the solve's six transforms and the contamination's grid are all
+        s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
+        assert s.user.nodal and s.user.amp.size == 48
+        trial = self.trial_fft_lengths(s, fft_lengths)
+        assert trial.count(s.P) == 6
+        assert trial.count(s.cont.synthesis.grid_size) == 1
+        assert len(trial) == 7
+
+    def test_exact_trial_shares_its_forward_transforms(self, fft_lengths):
+        # a fast user, 165 nodes at P=1024, is above the node-basis crossover:
+        # fft(z) and fft(D z) serve all K users' products, two inverse FFTs
+        # each, beside the solve's six; the contamination's NUFFT grids on a
+        # longer grid (the users' bands still take the direct sum)
+        s = simkit._setup(ExperimentConfig(channel_model="exact", doppler_hz=100.0), 1024)
+        assert s.K == 8
+        assert not s.user.nodal and s.user.amp.size == 165 and not s.user.synthesis.gridded
+        trial = self.trial_fft_lengths(s, fft_lengths)
         assert trial.count(s.P) == 2 + 2 * s.K + 6 == 24
         assert len(trial) == 25
 
@@ -398,6 +436,37 @@ class TestStructuredSolver:
         dense = estimation.error_covariance(cfg.noise_var, [(cfg.user_power, R, pilots.fft_pilot(37.5, P).values)], 0)[1]
         mse = simkit.ExactModel(spectrum, P).mse(cfg.user_power, cfg.noise_var)
         assert mse == pytest.approx(dense, rel=1e-9)
+
+    def test_exact_model_mse_above_the_crossover_matches_dense_error_covariance(self):
+        # a Clarke band of F = 0.2 needs more nodes than the node basis takes:
+        # the Toeplitz inverse's trace
+        P, rho, sigma2 = 128, 1.0, 0.1
+        spectrum = DopplerSpectrum.clarke(0.2)
+        model = simkit.ExactModel(spectrum, P)
+        assert not model.nodal
+        R = fading.build_covariance(spectrum, P).toeplitz()
+        dense = estimation.error_covariance(sigma2, [(rho, R, pilots.fft_pilot(37.5, P).values)], 0)[1]
+        assert model.mse(rho, sigma2) == pytest.approx(dense, rel=1e-9)
+
+    # 40 significant digits against the model's eigenvalue sum, up to 60 dB
+    # where the Toeplitz inverse's trace is off by 8e-11 (F = 0.002) and 1.2e-9
+    # (F = 0.05), and the Gram form's eigenvalues by 2.7e-9
+    @pytest.mark.parametrize("F", [0.002, 0.05])
+    @pytest.mark.parametrize("pilot_snr_db", [20.0, 60.0])
+    def test_exact_model_mse_matches_mpmath(self, F, pilot_snr_db):
+        mp = pytest.importorskip("mpmath")
+        P, rho, sigma2 = 32, 1.0, 10.0 ** (-pilot_snr_db / 10.0)
+        model = simkit.ExactModel(DopplerSpectrum.clarke(F), P)
+        assert model.nodal
+        with mp.workdps(40):
+            r = [mp.besselj(0, 2 * mp.pi * mp.mpf(F) * v) for v in range(P)]
+            B = mp.matrix(P, P)
+            for i in range(P):
+                for j in range(P):
+                    B[i, j] = rho * r[abs(i - j)] + (sigma2 if i == j else 0)
+            inverse = mp.inverse(B)
+            exact = float(sigma2 * (P - sigma2 * mp.fsum(inverse[i, i] for i in range(P))) / (rho * P))
+        assert model.mse(rho, sigma2) == pytest.approx(exact, rel=1e-12)
 
 
 def time_domain_draw(model, rng, M, dl_lag):
@@ -486,6 +555,43 @@ class TestCirculantSupport:
         assert error == 0.0 and np.all(last == 0)
 
 
+class TestExactNodeBasis:
+    """Below its crossover the exact model estimates in the coordinates of its synthesis nodes."""
+
+    # at P=512 (dl_lag 1) a Clarke user of 62 Hz has 80 nodes and one of 63.5 Hz
+    # 81, either side of the crossover 8 log2(1026) = 80.02
+    @pytest.mark.parametrize("doppler_hz,below", [(62.0, True), (63.5, False)])
+    def test_exact_branches_agree_at_the_crossover(self, monkeypatch, doppler_hz, below):
+        cfg = ExperimentConfig(channel_model="exact", doppler_hz=doppler_hz, antennas=3)
+        s = simkit._setup(cfg, 512)
+        Q, octaves = s.user.amp.size, math.log2(2 * (s.P + cfg.dl_lag))
+        assert s.user.nodal == below == (Q <= simkit.NODE_BASIS_PER_OCTAVE * octaves)
+        assert abs(Q - simkit.NODE_BASIS_PER_OCTAVE * octaves) < 1
+        # the same scene forced onto the other branch
+        monkeypatch.setattr(simkit, "NODE_BASIS_PER_OCTAVE", 0 if below else math.inf)
+        other = simkit._setup(cfg, 512)
+        assert other.user.nodal != below
+        assert (s.estimate is simkit._each_user, other.estimate is simkit._each_user) == (below, not below)
+        a, b = (simkit._sound(t, np.random.default_rng(4), simkit.Workspace()) for t in (s, other))
+        (nmse_a, rx_a, truths_a, last_a), (nmse_b, rx_b, truths_b, last_b) = a, b
+        # the same draws
+        assert rx_a == rx_b and np.array_equal(truths_a, truths_b)
+        np.testing.assert_allclose(nmse_a, nmse_b, rtol=1e-9, atol=0)
+        for k in range(s.K):
+            assert np.linalg.norm(last_a[k] - last_b[k]) <= 1e-9 * np.linalg.norm(last_b[k])
+        assert s.nmse_model == pytest.approx(other.nmse_model, rel=1e-9)
+
+    # on the Hadamard window of 8 slots the crossover is 8 log2(18) = 33.4, with
+    # 21 nodes at 10 Hz: the batched dense product is faster at every node count
+    def test_hadamard_pilots_keep_the_dense_products(self):
+        cfg = ExperimentConfig(channel_model="exact", scheme="hadamard", doppler_hz=10.0)
+        s = simkit._setup(cfg, 512)
+        assert s.user.amp.size == 21 < simkit.NODE_BASIS_PER_OCTAVE * math.log2(2 * (s.P + cfg.dl_lag))
+        assert not s.user.nodal and s.estimate is simkit._dense_products
+        draw = s.user.draw(np.random.default_rng(0), s.M)
+        assert draw.basis is draw.window
+
+
 class TestTrialAgainstDenseOracle:
     """The trial's per-user error power and downlink estimates against dense matrices.
 
@@ -495,7 +601,8 @@ class TestTrialAgainstDenseOracle:
     Ramp pilots take the structured solver; Hadamard pilots, on a window of
     one slot per user, the dense one. Dopplers from 10 to 1250 Hz (F from
     0.002 to 0.25) put circulant supports on both sides of the crossover
-    between the restricted DFT and the FFTs.
+    between the restricted DFT and the FFTs, and exact-model users on both
+    sides of the node basis's (recorded as hypothesis events).
     """
 
     @given(
@@ -531,6 +638,8 @@ class TestTrialAgainstDenseOracle:
         )
         s = simkit._setup(cfg, P)
         P = s.P
+        if channel_model == "exact":
+            event(f"exact model: {'node coordinates' if s.user.nodal else 'time domain'}")
         nmse, rx_power, truths, estimates = simkit._sound(s, np.random.default_rng(seed), simkit.Workspace())
 
         # the same draws again, in the (P, M) layout
