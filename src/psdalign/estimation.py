@@ -14,6 +14,7 @@ analysis rests on, and closed forms for the bathtub spectrum.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -172,21 +173,22 @@ def asymptotic_mse(spectrum, power, noise_var, interferers=()):
 def _meeting(bands, interferers):
     """The (S_g, shift_g, rho_g) interferers, in order, that can be nonzero on the closed `bands`.
 
-    One is kept when one of S_g's closed bands, shifted by shift_g, comes within
+    One is kept when S_g's closed band, shifted by shift_g, comes within
     `ARC_MARGIN` of one of `bands` on the circle (touching counts), and when
-    S_g has no band at all: a powerless bathtub still reads 0 * inf = nan on
-    its edges.
+    S_g has no power: with no support, a powerless bathtub still reads
+    0 * inf = nan on its edges. Every spectrum has one band
+    (`DopplerSpectrum.band_edges`), so the arcs of all interferers are one
+    (G, 2) array, built without a Python step per band.
     """
-    rows = [(g, lo + shift, hi + shift) for g, (sp, shift, _) in enumerate(interferers) for lo, hi in sp.support()]
-    if not rows:
+    if not interferers:
         return interferers
-    owners, lo, hi = (np.array(column) for column in zip(*rows))
+    spectra, shifts, _ = zip(*interferers)
+    arcs = np.fromiter(chain.from_iterable([sp.band_edges for sp in spectra]), float, 2 * len(spectra))
+    arcs = arcs.reshape(-1, 2) + np.array(shifts, dtype=float)[:, None]
     own = np.array(bands, dtype=float).reshape(-1, 2)
-    meets = (arc_gaps(own[:, :1], own[:, 1:], lo, hi) <= ARC_MARGIN).any(axis=0)
-    keep = np.ones(len(interferers), dtype=bool)
-    keep[owners] = False
-    keep[owners[meets]] = True
-    return [i for i, k in zip(interferers, keep.tolist()) if k]
+    keep = (arc_gaps(own[:, :1], own[:, 1:], arcs[:, 0], arcs[:, 1]) <= ARC_MARGIN).any(axis=0)
+    keep |= np.array([sp.power == 0 for sp in spectra])
+    return list(compress(interferers, keep.tolist()))
 
 
 def _interference(interferers):

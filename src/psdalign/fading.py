@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import j0
 
 from .quadrature import oscillatory_nodes
@@ -238,13 +237,18 @@ class DopplerSpectrum:
         lo, hi = self.band
         return self.power * np.exp(1j * np.pi * (lo + hi) * v) * np.sinc((hi - lo) * v)
 
+    @cached_property
+    def band_edges(self):
+        """(lo, hi), the closed band of the density whatever the power, found once per spectrum."""
+        if self.kind == "clarke":
+            return (-self.max_doppler, self.max_doppler)
+        return self.band
+
     def support(self):
         """Closed frequency interval(s) carrying power, as (lo, hi) pairs."""
         if self.power == 0:
             return []
-        if self.kind == "clarke":
-            return [(-self.max_doppler, self.max_doppler)]
-        return [self.band]
+        return [self.band_edges]
 
     def sample_eigenvalues(self, P):
         """PSD samples on the P-point grid (the large-P eigenvalue picture), as a `SampledPsd`.
@@ -327,13 +331,19 @@ class ChannelCovariance:
         return np.clip(np.fft.fft(self.circulant_column).real, 0.0, None)
 
     def toeplitz(self):
-        """Materialize the exact P x P Toeplitz covariance E[h h^H].
+        """The exact P x P Toeplitz covariance E[h h^H], as a read-only view.
 
-        Real (float64) when the autocorrelation is real, as for the bathtub
-        spectrum, and complex otherwise; the entries are the same either way.
+        The view lies on one vector v of 2P - 1 entries, v[P - 1 + d] = r(d)
+        for |d| < P (r(-d) = conj(r(d))), with strides (s, -s): entry [l, l']
+        is v[P - 1 + l - l'] = r(l - l'), so the matrix takes O(P) memory.
+        Its entries and dtype are those of `scipy.linalg.toeplitz`: real
+        (float64) when the autocorrelation is real, as for the bathtub
+        spectrum, and complex otherwise. `.copy()` gives a writable matrix.
         """
-        # first column r(l), first row conj(r(l)) = r(-l)
-        return toeplitz(np.asarray(self.values))
+        r = np.asarray(self.values)
+        v = np.concatenate((np.conj(r[:0:-1]), r))
+        # window i of v is v[i : i + P]; reversed, its entry l' is v[P - 1 + i - l']
+        return np.lib.stride_tricks.sliding_window_view(v, r.size)[:, ::-1]
 
 
 def build_covariance(spectrum, P):

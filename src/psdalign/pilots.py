@@ -76,13 +76,15 @@ def orthogonality_residual(R_k, R_g, pkg):
     `pkg` is the diagonal of the cross product X_k^H X_g, as a 1-D array: the
     cross product of two diagonal pilots is diagonal.
 
-    When R_k and R_g are Toeplitz (checked entry for entry) and the diagonal
-    `pkg` is a constant-modulus exponential ramp (equal consecutive ratios, to
-    the rounding of computed phases), the product has displacement rank 2 and
-    its norm takes O(P^2) time and O(P) memory (`_structured_norm`); that
-    covers the cyclic-shift pilots of criterion 6, the one caller in the
-    package. Every other input forms the dense O(P^3) product (`_dense_norm`,
-    also the tests' oracle).
+    When R_k and R_g are Toeplitz and the diagonal `pkg` is a
+    constant-modulus exponential ramp (equal consecutive ratios, to the
+    rounding of computed phases), the product has displacement rank 2 and its
+    norm takes O(P^2) time and O(P) memory (`_structured_norm`); that covers
+    the cyclic-shift pilots of criterion 6, the one caller in the package.
+    The read-only views of `ChannelCovariance.toeplitz` are Toeplitz by their
+    memory layout (`_is_toeplitz`), so on them no step reads all P^2 entries.
+    Every other input forms the dense O(P^3) product (`_dense_norm`, also the
+    tests' oracle).
     """
     R_k = np.asarray(R_k)
     R_g = np.asarray(R_g)
@@ -113,6 +115,14 @@ def _dense_norm(R_k, R_g, pkg):
 
 
 def _is_toeplitz(R):
+    """Whether the 2-D array R is Toeplitz.
+
+    Strides (a, -a) put entry [i, j] at offset (i - j) a, a function of i - j
+    alone, as in the views of `ChannelCovariance.toeplitz`: such an array is
+    Toeplitz by its layout. Any other array is compared entry for entry.
+    """
+    if R.strides[0] == -R.strides[1]:
+        return True
     return np.array_equal(R[1:, 1:], R[:-1, :-1])
 
 
@@ -134,10 +144,25 @@ def _is_ramp(pkg):
 
 
 def _matvec(A, x):
-    """A @ x without upcasting a real A to complex."""
-    if np.isrealobj(A) and np.iscomplexobj(x):
-        return A @ x.real + 1j * (A @ x.imag)
-    return A @ x
+    """A @ x for a Toeplitz A, Hermitian or not, read from its first column and first row.
+
+    The circulant of length n >= 2P - 1 whose first column is A[:, 0], zeros,
+    then A[0, P-1], ..., A[0, 1] holds A in its leading P x P block, so A x is
+    the first P entries of that circulant times x padded with zeros: one FFT
+    of the column and x together, one inverse FFT. Real when A and x are.
+    """
+    P = A.shape[0]
+    n = 1 << (2 * P - 2).bit_length()
+    real = np.isrealobj(A) and np.isrealobj(x)
+    pair = np.zeros((2, n), dtype=float if real else complex)
+    pair[0, :P] = A[:, 0]
+    pair[0, n - P + 1 :] = A[0, :0:-1]
+    pair[1, :P] = x
+    if real:
+        spectra = np.fft.rfft(pair)
+        return np.fft.irfft(spectra[0] * spectra[1], n)[:P]
+    spectra = np.fft.fft(pair)
+    return np.fft.ifft(spectra[0] * spectra[1])[:P]
 
 
 def _structured_norm(R_k, R_g, pkg):
@@ -145,7 +170,8 @@ def _structured_norm(R_k, R_g, pkg):
 
     B is Toeplitz, so C has displacement rank 2 (Kailath & Sayed, SIAM Review
     37, 1995): C[i+1, j+1] = C[i, j] + R_k[i+1, 0] B[0, j+1] - R_k[i, P-1] B[P-1, j].
-    C's first row and column take one matrix-vector product each; every later
+    C's first row and column take one Toeplitz matrix-vector product each, by
+    FFT from R_k's and R_g's first rows and columns (`_matvec`); every later
     row follows from the one before in O(P), and the norm accumulates row by row.
     The rows alternate between two buffers, whose slices are taken once, and
     the correction term goes through one scratch row, so a row allocates nothing.

@@ -343,8 +343,9 @@ class ExactModel:
     with the window as in the process: h = Phi c, sum_q c_q exp(2j*pi*n*xi_q)
     for n = 0..P-1+dl_lag with c = amp * g for white g, a type-1 NUFFT of the
     nodes xi_q (`nufft.Type1`, which keeps the direct sum for few nodes). The
-    P x P covariance is built on request only, and `toeplitz`, the product
-    with R alone, serves criterion 10a.
+    P x P covariance is a read-only view handed out on request
+    (`covariance`), and `toeplitz`, the product with R alone, serves
+    criterion 10a.
 
     The same nodes reproduce the autocorrelation on the window, so
     R = Phi_P A Phi_P^H with A = Diag(amp^2) and Phi_P the window's P rows of
@@ -376,6 +377,10 @@ class ExactModel:
         return np.asarray(self.cov.values, dtype=complex)
 
     def covariance(self):
+        """The P x P Toeplitz covariance, as a read-only view (`ChannelCovariance.toeplitz`).
+
+        The view takes O(P) memory; `.copy()` gives a writable matrix.
+        """
         return self.cov.toeplitz()
 
     def window(self, rng, M, ws=None):

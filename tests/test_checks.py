@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from psdalign import checks
@@ -60,3 +62,14 @@ def test_check_relations():
     assert not Check("a", float("nan"), "<", 2.0).ok
     assert Check("a", 1.0, "<", 2.0).line().startswith("PASS  a ")
     assert Check("a", 3.0, "<", 2.0).line().endswith("target<2.000e+00")
+
+
+def test_criterion_6_allocates_order_p():
+    # a dense P=4096 covariance alone is 134 MB
+    tracemalloc.start()
+    try:
+        list(checks.criterion_06_orthogonality_decay())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

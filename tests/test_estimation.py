@@ -22,7 +22,7 @@ from psdalign.pilots import fft_pilot, hadamard_pilots
 from psdalign.quadrature import adaptive_gl
 from psdalign.simkit import ExactModel
 
-from oracles import mmse_estimate
+from oracles import mmse_estimate, rows_meeting
 
 
 def clarke_terms(F, P, shifts=(0,), power=1.0):
@@ -356,6 +356,19 @@ class TestPrunedInterferers:
         kept = estimation._meeting([(-F, F)], [apart, touching, across, apart, powerless, wide])
         assert kept == [touching, across, powerless, wide]
         assert estimation._meeting([], [touching, powerless]) == [powerless]
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12), own=st.sampled_from(["clarke", "flat", "none"]))
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_what_the_row_oracle_keeps(self, seed, count, own):
+        rng = np.random.default_rng(seed)
+        F = dyadic(rng, 0.001, 0.05)
+        bands = {"clarke": [(-F, F)], "flat": [(0.5 - 2 * F, 0.5)], "none": []}[own]
+        cases = rng.choice(["touch", "straddle", "wide", "powerless", "random"], count)
+        interferers = [edge_case_interferer(rng, F, case) for case in cases]
+        if count and rng.random() < 0.3:
+            interferers.append(interferers[rng.integers(count)])  # one triple listed twice
+        got, want = estimation._meeting(bands, interferers), rows_meeting(bands, interferers)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 class TestBatchedInterference:

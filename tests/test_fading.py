@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import toeplitz
 
 from psdalign.fading import (
     EIGENVALUE_FLOOR_REL,
+    ChannelCovariance,
     DopplerSpectrum,
     SampledPsd,
     build_covariance,
@@ -286,6 +288,35 @@ class TestBuildCovariance:
         R = cov.toeplitz()
         assert R.dtype == dtype
         assert np.array_equal(R, toeplitz(np.asarray(cov.values, dtype=complex)))
+
+    @pytest.mark.parametrize("P", [1, 2, 7, 1024])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_toeplitz_view_matches_scipy(self, P, kind):
+        rng = np.random.default_rng(P)
+        r = rng.standard_normal(P) + (1j * rng.standard_normal(P) if kind == "complex" else 0.0)
+        R = ChannelCovariance(r).toeplitz()
+        want = toeplitz(r)
+        assert R.dtype == want.dtype
+        assert np.array_equal(R, want)
+
+    def test_toeplitz_view_is_read_only(self):
+        R = build_covariance(DopplerSpectrum.clarke(0.01), 16).toeplitz()
+        with pytest.raises(ValueError, match="read-only"):
+            R[3, 1] = 0.0
+        R = R.copy()
+        R[3, 1] = 0.0  # a copy is writable
+        assert R[3, 1] == 0.0
+
+    def test_toeplitz_view_allocates_order_p(self):
+        cov = build_covariance(DopplerSpectrum.flat_band(0.05, 0.2), 4096)  # complex, 256 MB dense
+        tracemalloc.start()
+        try:
+            R = cov.toeplitz()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.shape == (4096, 4096)
+        assert peak < 1e6
 
     def test_eigenvalues_match_bin_averaged_psd(self):
         # interior bins of a well-resolved bathtub agree with P * (bin mass)

@@ -201,6 +201,20 @@ class TestStructuredResidual:
             orthogonality_residual(R, R, fft_pilot(3, 16).values)
         assert dense.call_count == 1
 
+    def test_views_are_proved_toeplitz_by_their_strides(self):
+        R_k, R_g = clarke_toeplitz(0.003, 256), clarke_toeplitz(0.002, 256)
+        pkg = np.conj(fft_pilot(10.5, 256).values) * fft_pilot(100.25, 256).values
+        want = orthogonality_residual(R_k.copy(), R_g.copy(), pkg)
+        with mock.patch.object(pilots.np, "array_equal", wraps=np.array_equal) as compare, counting_dense() as dense:
+            got = orthogonality_residual(R_k, R_g, pkg)
+            assert pilots._is_toeplitz(R_k.T)
+        assert compare.call_count == 0 and dense.call_count == 0
+        assert got == want
+        # an array with other strides is compared entry for entry
+        with mock.patch.object(pilots.np, "array_equal", wraps=np.array_equal) as compare:
+            assert pilots._is_toeplitz(R_k.copy())
+        assert compare.call_count == 1
+
     def test_non_ramp_diagonal_falls_back(self):
         R = clarke_toeplitz(0.05, 16)
         rows = hadamard_pilots(16)
@@ -218,6 +232,32 @@ class TestStructuredResidual:
     def test_criterion_6_and_validate_never_form_the_dense_product(self, registry_run):
         assert any(c.name.startswith("orthogonality_residual") for c in registry_run.checks)
         assert registry_run.dense_calls == 0
+
+
+@given(
+    P=st.integers(1, 512),
+    seed=st.integers(0, 2**32 - 1),
+    complex_matrix=st.booleans(),
+    complex_vector=st.booleans(),
+    hermitian=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_fft_toeplitz_product_matches_dense(P, seed, complex_matrix, complex_vector, hermitian):
+    rng = np.random.default_rng(seed)
+
+    def draw(complex_values):
+        return rng.standard_normal(P) + (1j * rng.standard_normal(P) if complex_values else 0.0)
+
+    column = draw(complex_matrix)
+    if hermitian:
+        column[0] = column[0].real
+        A = toeplitz(column)
+    else:
+        A = toeplitz(column, draw(complex_matrix))
+    x = draw(complex_vector)
+    got, want = pilots._matvec(A, x), A @ x
+    assert got.dtype == want.dtype
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestShiftOrthogonal:
