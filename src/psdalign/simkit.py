@@ -1,73 +1,50 @@
 """Monte-Carlo harness: multi-user uplink sounding with inter-cell
 contamination, per-user estimation quality, and TDD downlink beamforming.
 
-Two channel models share one trial path, which works in the (M, P) layout:
-one row of P window slots per antenna, so every FFT runs along the contiguous
-axis. A model draws a process's window and its downlink sample together with
-the draw in its own basis. It also provides its covariance, as the first
-column of the Hermitian Toeplitz matrix or as the P x P matrix, for the
-observation covariance. Users share one model on the Clarke spectrum;
-contamination is a second instance of the same class on the flat-band
-spectrum.
+Two channel models share one trial path, in the (M, P) layout: one row of P
+window slots per antenna, so every FFT runs along the contiguous axis. Both
+draw a process as a sum of complex exponentials at their nodes,
+h(n) = sum_q b_q exp(2j*pi*n*xi_q), with the (Q, M) strengths b as its basis,
+and provide the covariance as a first column or as the P x P matrix. Users
+share one model on the Clarke spectrum; contamination is a second instance of
+the same class on the flat-band spectrum.
 
 The configured scheme alone picks the window, the pilots and the solver
-(`_setup`). The PSD-aligned scheme sends cyclic-shift (exponential-ramp)
-pilots at the per-user shifts of `user_shifts`, in slots, so the observation
-covariance is Hermitian Toeplitz, and trials solve with its inverse written
-through circulant and skew-circulant factors (`psdalign.toeplitz`): no P x P
-array is formed, and every transform has length P. The Hadamard scheme sends
-the rows of a Hadamard matrix over a window of one slot per user and factors
-the dense matrix by Cholesky. The scheme and the model together pick the
-trial's estimate stage, which turns the solved block z into every user's
-error power and last-slot estimate h_hat_k = sqrt(rho) R (conj(x_k) z).
+(`_setup`). The PSD-aligned scheme sends ramp pilots
+x_k(n) = exp(2j*pi*tau_k*n/P) at the shifts of `user_shifts`, so the
+observation covariance is Hermitian Toeplitz, and trials solve through its
+circulant and skew-circulant factors (`psdalign.toeplitz`) with no P x P
+array. A ramp moves user k's nodes to xi_q + tau_k/P, so what the K users
+send is one sum over the stacked nodes, formed by one gridded type-1 NUFFT
+(`psdalign.nufft`); its adjoint applied to the solve's output z gives every
+user's sums Phi^H (conj(x_k) z), whose multiples by sqrt(rho) R's node gains
+are the coordinates of h_hat_k = sqrt(rho) R (conj(x_k) z)
+(`_node_coordinates`). A default trial takes the solve's six transforms, the
+contamination's one and the users' two of length 2P. The Hadamard scheme
+sends the rows of a Hadamard matrix over a window of one slot per user,
+factors the dense matrix by Cholesky and estimates by dense products with the
+K x K covariance (`_dense_products`).
 
 - `CirculantModel` (the default) draws the window-stationary process whose
   covariance is the circulant picture the large-P analysis works in, and lets
   the estimator use exactly that model, so desk-scale runs converge to the
-  asymptotic formulas. That covariance is diagonal on the DFT grid, so the
-  model keeps each draw's spectrum and estimates there, on the few bins of
-  the user's Doppler band where its eigenvalues are nonzero: the window and
-  the estimator's spectrum are the inverse DFT and the DFT restricted to
-  those bins (an inverse FFT and an FFT when there are more than
-  `DFT_MAX_SUPPORT`), the error power follows by Parseval, and the last-slot
-  estimate is one row of the inverse DFT.
+  asymptotic formulas. Its nodes are the bins f/P of the Doppler band where
+  the eigenvalues are nonzero; R is diagonal there, with gains lam/P.
 - `ExactModel` draws samples with the exact Toeplitz statistics of the
   underlying continuous-time process; its window-averaged error converges to
   the same limit but visibly slower, which is itself one of the toolkit's
-  cross-checks. A draw sums complex exponentials at the nodes of a quadrature
-  of the spectral measure, h = Phi c, through the type-1 NUFFT of
-  `psdalign.nufft` (directly for the few nodes of a narrow Clarke band): no
-  P x Q matrix is kept for a wide band. The same nodes give the window's
-  covariance, R = Phi_P A Phi_P^H with A the squared amplitudes, so with
-  ramp pilots a user with few nodes (below `NODE_BASIS_PER_OCTAVE`, the
-  default user at every P) keeps c, (M, Q), and estimates as the circulant
-  model does on its bins: R W = (W conj(Phi_P) A) Phi_P^T, an (M, P) @ (P, Q)
-  product, the error power a Q x Q form with the Gram matrix of Phi_P, and
-  the last-slot estimate one row of Phi_P. The trial then takes no transform
-  beyond the solve's six and the contamination's grid. A user with more
-  nodes estimates in the time domain, against what each user sent,
-  sqrt(rho) x_k h_k, which the trial forms for the observation anyway. With
-  T(c) the Hermitian Toeplitz matrix of first column c, R = T(r), and a ramp
-  pilot, R Diag(conj(x_k)) = Diag(conj(x_k)) T(r x_k), so
-  sqrt(rho) x_k h_hat_k is z times a Hermitian Toeplitz matrix of the user's
-  own, whose split symbols the set-up builds once: all K products start
-  from the same fft(z) and fft(D z) and take two inverse FFTs each
-  (`_shared_transforms`), 2 + 2K transforms against 4K for separate
-  products. Hadamard pilots, on their window of K slots, take a dense
-  product with the K x K covariance (`_dense_products`) at any node count:
-  one batched product there is faster than node coordinates user by user.
+  cross-checks. Its nodes are those of a quadrature of the spectral measure,
+  R = Phi_P A Phi_P^H on the window. A user with more nodes than
+  `NODE_BASIS_PER_OCTAVE` allows estimates against what each user sent,
+  sqrt(rho) x_k h_k, synthesized user by user: for a ramp x_k,
+  R Diag(conj(x_k)) = Diag(conj(x_k)) T(r x_k) with T(c) Hermitian Toeplitz
+  of first column c, so all K products start from the same fft(z) and
+  fft(D z) and take two inverse FFTs each (`_shared_transforms`).
 
 `run_experiment` gives each worker a contiguous block of trials and one
-`Workspace`, which its first trial fills with the blocks every trial reuses:
-the white draws (`complex_normal` with `out=`) and their float scratch plane,
-the observation, the window, the solve's two blocks and the bases. The
-circulant model's FFTs and the solve's six run in place there, so after the
-first trial a circulant trial allocates no (M, P) block. The exact model's
-draws write their sums, and a gridded NUFFT its grid, into the workspace,
-and its estimates allocate only (M, Q) blocks; its shared transforms run in
-the solve's blocks and in those of the observation and the noise, which
-nothing reads once the solve returns. What an exact trial still allocates
-is the (G, 2M) float block of the gridded NUFFT's sparse spreading product.
+`Workspace`, which its first trial fills with the blocks every trial reuses,
+so after the first trial a trial allocates no (M, P) block: FFTs run in place
+there, and the NUFFTs spread and interpolate a chunk of antennas at a time.
 """
 
 import functools
@@ -83,7 +60,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant
-from scipy.linalg.blas import zgemm
 
 from . import estimation, pilots
 from .config import ExperimentConfig  # noqa: F401  (re-exported: psdalign.simkit.ExperimentConfig)
@@ -187,21 +163,25 @@ class Workspace:
         return buffer[:size].reshape(shape)
 
 
-def _white(rng, shape, ws):
-    """complex_normal(rng, shape) in the workspace's white block."""
-    return complex_normal(rng, shape, out=ws.get("white", shape), scratch=ws.get("plane", shape, float))
+def _nufft_buffers(transform, M, P, ws):
+    """The grid and the work of a transform on M columns: the white block, free whenever one runs,
+    which grows to hold every column's nodes at once when they outnumber the grid's points."""
+    if transform.grid_size is None:
+        return {}
+    size, Q = transform.grid_size, transform.nodes.size
+    return {"grid": ws.get("grid", (M * size,)), "work": ws.get("white", (max(P, size + Q if Q > size else 0) * M,))}
+
+
+def _white(rng, shape, ws, out=None):
+    """complex_normal(rng, shape) into `out`, or the workspace's white block when it is not given."""
+    out = ws.get("white", shape) if out is None else out
+    return complex_normal(rng, shape, out=out, scratch=ws.get("plane", shape, float))
 
 
 class ChannelDraw(NamedTuple):
-    """One draw of M antennas, in the (M, P) layout.
+    """One draw of M antennas: the (M, P) window, the (M,) sample `dl_lag` slots past it, the (Q, M) basis.
 
-    `window` holds the P window slots, `downlink` the (M,) sample `dl_lag`
-    slots past them, and `basis` the draw as the trial keeps it for its
-    estimate stage: the spectrum on the support bins for the circulant model;
-    the strengths c of the synthesis nodes, (M, Q), for a nodal exact model;
-    otherwise the window itself, which the trial then modulates in place into
-    what the user sent, sqrt(rho) x_k h_k. A draw into a `Workspace` may keep
-    its arrays there, until the next draw into the same workspace.
+    A draw into a `Workspace` may keep its arrays there, until the next draw into the same workspace.
     """
 
     window: np.ndarray
@@ -209,56 +189,29 @@ class ChannelDraw(NamedTuple):
     basis: np.ndarray
 
 
-# support bins up to which the restricted inverse DFT, (M, S) @ (S, P), and
-# its transpose beat an inverse FFT and an FFT of the whole spectrum (measured
-# with M = 16 at P = 512-4096 on one BLAS thread: 0.6-0.8 of the FFTs' time
-# at S = 32, 1.1-1.2 at S = 37)
-DFT_MAX_SUPPORT = 32
-
-
-def _inverse_dft_row(P, n):
-    """Row n of the inverse DFT: slot n of ifft(c) is this row dotted with c."""
-    return np.exp(2j * np.pi * np.arange(P) * n / P) / P
-
-
-def _dft_phases(bins, slots, P):
-    """exp(2j*pi*f*n/P) for each bin f and slot n, from the integer f*n reduced modulo P."""
-    return np.exp((2j * np.pi / P) * (np.multiply.outer(bins, slots) % P))
-
-
 class CirculantModel:
     """Window-stationary draws from the renormalized circulant eigenvalues.
 
     A draw's spectrum is c = sqrt(P lam) g for white g, the DFT of the window
-    h = ifft(c). It is zero off the support of the clamped eigenvalues, which
-    for a Doppler band of width 2F holds about 2FP of the P bins, so the basis
-    is c on the support only, (M, S). With few support bins the window and the
-    estimator's spectrum are the restricted inverse DFT and DFT, (M, S) @ (S, P)
-    and (M, P) @ (P, S); with more than `DFT_MAX_SUPPORT` they are an inverse
-    FFT of the whole spectrum, taken in place, and an FFT gathered on the
-    support. The downlink sample lies `dl_lag` slots past the window, on the
-    periodic extension. The P x P covariance is built on request and not
-    kept: only the dense observation covariance needs it.
+    h = ifft(c). It is zero off the support of the clamped eigenvalues, about
+    2FP of the P bins for a band of width 2F, so the basis is c/P there,
+    (S, M), at the `nodes` f/P; R is diagonal, with `gain` lam/P. The
+    downlink sample lies `dl_lag` slots past the window, on the periodic
+    extension. The P x P covariance is built on request and not kept.
     """
 
     def __init__(self, spectrum, P, dl_lag=0):
-        self.P = P
+        self.P, self.nodal = P, True
         self.lam = _model_eigenvalues(spectrum, P)
         self.support = np.flatnonzero(self.lam)
-        self._support_lam = self.lam[self.support]
-        self._last = _inverse_dft_row(P, P - 1)[self.support]
-        self._dl = _inverse_dft_row(P, P - 1 + dl_lag)[self.support]
-        self._synthesis = self._analysis = None
-        # sqrt(P lam) on the bins a draw scales, complex so that its product
-        # with the white block casts nothing: the support bins, and on the
-        # FFT branch every bin
-        self._support_scale = np.sqrt(P * self._support_lam).astype(complex)
-        if self.support.size <= DFT_MAX_SUPPORT:
-            slots = np.arange(P)
-            self._synthesis = _dft_phases(self.support, slots, P) / P
-            self._analysis = _dft_phases(slots, -self.support, P)
-        else:
-            self._scale = np.sqrt(P * self.lam).astype(complex)
+        self.nodes = self.support / P
+        self.gain = self.lam[self.support] / P
+        # the phases of slots P-1 and P-1+dl_lag
+        self.rows = np.exp(2j * np.pi * (self.support * np.array([[P - 1], [P - 1 + dl_lag]]) % P) / P)
+        # sqrt(P lam) on every bin, complex so that its product with the
+        # white block casts nothing, and sqrt(P lam) / P on the support
+        self._scale = np.sqrt(P * self.lam).astype(complex)
+        self._basis_scale = np.sqrt(self.gain)[:, None]
 
     def column(self):
         """First column of the circulant covariance."""
@@ -268,57 +221,39 @@ class CirculantModel:
         return circulant(self.column())
 
     def window(self, rng, M, ws=None):
-        """The (M, P) window of one draw, without its downlink sample; the FFT branch forms no basis."""
-        return self._window(rng, M, Workspace() if ws is None else ws)[0]
+        """The (M, P) window of one draw, without its downlink sample or basis."""
+        ws = Workspace() if ws is None else ws
+        # the spectrum becomes the window in place, in the grid buffer, which
+        # no trial uses then (a product straight from the transposed white
+        # block would take numpy two iteration buffers as large as the block)
+        window = ws.get("grid", (M, self.P))
+        np.copyto(window, _white(rng, (self.P, M), ws).T)
+        window *= self._scale
+        return np.fft.ifft(window, out=window)
 
     def draw(self, rng, M, ws=None):
-        """A ChannelDraw; the basis is the window's DFT on the support, (M, S)."""
+        """A ChannelDraw, its basis gathered from the white block the window was formed from."""
         ws = Workspace() if ws is None else ws
-        window, basis = self._window(rng, M, ws)
-        if basis is None:
-            # the FFT branch formed the window without it: gather it from the
-            # white block, still in the workspace
-            basis = self._basis(ws.get("white", (self.P, M)), ws)
-        return ChannelDraw(window, basis @ self._dl, basis)
+        window = self.window(rng, M, ws)
+        basis = self._gather(ws.get("white", (self.P, M)), ws.get("basis", (self.support.size, M)))
+        return ChannelDraw(window, self.slots(basis)[1], basis)
 
-    def _window(self, rng, M, ws):
-        """The (M, P) window of one draw, and the basis it was formed from (None on the FFT branch)."""
-        # the full (P, M) draw, transposed: the random stream of the (P, M) layout
-        white = _white(rng, (self.P, M), ws)
-        window = ws.get("window", (M, self.P))
-        if self._synthesis is not None:
-            basis = self._basis(white, ws)
-            np.matmul(basis, self._synthesis, out=window)
-            return window, basis
-        # the spectrum, zero off the support, becomes the window in place;
-        # a product straight from the transposed white block would take
-        # numpy two iteration buffers, as large as the block at M=16, P=1024
-        np.copyto(window, white.T)
-        window *= self._scale
-        np.fft.ifft(window, out=window)
-        return window, None
+    def basis(self, rng, M, out, ws):
+        """The (S, M) basis of one draw, into `out`: the random stream of the whole (P, M) draw."""
+        return self._gather(_white(rng, (self.P, M), ws), out)
 
-    def _basis(self, white, ws):
-        """The spectrum of the draw with (P, M) white block `white` on the support bins, (M, S)."""
-        basis = ws.get("basis", (white.shape[1], self.support.size))
-        return np.multiply(white[self.support].T, self._support_scale, out=basis)
+    def _gather(self, white, out):
+        np.take(white, self.support, axis=0, out=out, mode="wrap")  # in range: no buffer
+        out *= self._basis_scale
+        return out
 
-    def estimate(self, basis, W, ws=None):
-        """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W.
+    def slots(self, basis):
+        """(2, M): slot P-1 and the downlink sample of the draw with this basis, one row product."""
+        return self.rows @ basis
 
-        The error power is the mean of |h - h_hat|^2 over the window, with h
-        the draw whose basis is given: by Parseval, ||c - fft(h_hat)||^2 / (P^2 M),
-        summed over the support alone, since off it both spectra are zero. On
-        the FFT branch the transform of W goes into `ws` when one is given.
-        """
-        if self._analysis is not None:
-            E = W @ self._analysis
-        else:
-            E = np.fft.fft(W, out=None if ws is None else ws.get("spectrum", W.shape))[:, self.support]
-        E *= self._support_lam
-        last = E @ self._last
-        E -= basis
-        return float(np.vdot(E, E).real) / (W.size * self.P), last
+    def errors(self, D):
+        """Mean power over the window of the sums with each (S, M) block d of D: ||d||^2 / M, by Parseval."""
+        return np.array([np.vdot(d, d).real for d in D]) / D.shape[-1]
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE of the estimator under this model."""
@@ -326,35 +261,24 @@ class CirculantModel:
 
 
 # synthesis nodes per octave of 2(P + dl_lag) up to which the exact model with
-# ramp pilots estimates in the coordinates of its nodes, an (M, P) @ (P, Q)
-# product and a Q x Q form a user, rather than on shared transforms, two
-# inverse FFTs a user (measured on default trials, M = 16 and K = 8, on one
-# BLAS thread: the two break even at Q = 80, 92-111 and 117 for P = 512, 1024
-# and 4096, where this gives 80, 88 and 104); half of `nufft.Type1`'s rule, so
-# below it the synthesis holds its phases
+# ramp pilots estimates in node coordinates rather than on shared transforms
+# (even at Q = 80, 92-111 and 117 for P = 512-4096, M = 16, K = 8, when node
+# coordinates took an (M, P) @ (P, Q) product a user); half of Type1's rule
 NODE_BASIS_PER_OCTAVE = 8
 
 
 class ExactModel:
     """Exact Toeplitz statistics, drawn from a quadrature of the spectral measure.
 
-    Draws as CirculantModel does. One draw synthesizes the window and the
-    `dl_lag` slots after it, so the downlink sample is exactly as correlated
-    with the window as in the process: h = Phi c, sum_q c_q exp(2j*pi*n*xi_q)
-    for n = 0..P-1+dl_lag with c = amp * g for white g, a type-1 NUFFT of the
-    nodes xi_q (`nufft.Type1`, which keeps the direct sum for few nodes). The
-    P x P covariance is a read-only view handed out on request
-    (`covariance`), and `toeplitz`, the product with R alone, serves
-    criterion 10a.
-
-    The same nodes reproduce the autocorrelation on the window, so
-    R = Phi_P A Phi_P^H with A = Diag(amp^2) and Phi_P the window's P rows of
-    Phi. With `node_basis` and at most `NODE_BASIS_PER_OCTAVE`
-    log2(2(P + dl_lag)) nodes the model is `nodal`: the basis of a draw is c,
-    (M, Q), and `estimate` and `mse` work in node coordinates, on the Gram
-    matrix of Phi_P, built when first used. Otherwise the basis is the
-    window, and the trial's estimate stage forms each user's product with R
-    together with the user's pilot (`_shared_transforms`, `_dense_products`).
+    A draw sums h = Phi b for n = 0..P-1+dl_lag, with the basis b = amp * g
+    for white g, through a type-1 NUFFT of the `nodes` (`nufft.Type1`), so
+    the downlink sample is exactly as correlated with the window as in the
+    process. The P x P covariance is a read-only view handed out on request,
+    and `toeplitz`, the product with R alone, serves criterion 10a. On the
+    window R = Phi_P A Phi_P^H, with A = Diag(amp^2) the `gain`. With
+    `node_basis` and at most `NODE_BASIS_PER_OCTAVE` log2(2(P + dl_lag))
+    nodes the model is `nodal`: the trial estimates in node coordinates, and
+    the error power and `mse` are forms in the Gram matrix of Phi_P.
     """
 
     def __init__(self, spectrum, P, dl_lag=0, node_basis=True):
@@ -363,6 +287,9 @@ class ExactModel:
         self.toeplitz = HermitianToeplitz(self.column())
         xi, self.amp = spectrum.synthesis_nodes(max_lag=P - 1 + dl_lag)
         self.synthesis = Type1(xi, P + dl_lag)
+        self.nodes = self.synthesis.nodes
+        self.gain = self.amp**2
+        self.rows = np.exp(2j * np.pi * np.outer([P - 1, P - 1 + dl_lag], self.nodes))
         few = xi.size <= NODE_BASIS_PER_OCTAVE * math.log2(2 * (P + dl_lag))
         self.nodal = node_basis and few and self.synthesis.phases is not None
 
@@ -388,32 +315,30 @@ class ExactModel:
         return self.draw(rng, M, ws).window
 
     def draw(self, rng, M, ws=None):
-        """A ChannelDraw; the basis is c, (M, Q), when the model is nodal, and the window otherwise."""
+        """A ChannelDraw; the window is a view of the workspace's sums."""
         ws = Workspace() if ws is None else ws
-        strengths = _white(rng, (self.amp.size, M), ws)
-        np.multiply(self.amp[:, None], strengths, out=strengths)
-        synthesis = self.synthesis
-        grid = None if synthesis.grid_size is None else ws.get("grid", (M * synthesis.grid_size,))
-        block = synthesis(strengths, out=ws.get("synthesis", (M * synthesis.N,)), grid=grid)
-        window = block[:, : self.P]
-        return ChannelDraw(window, block[:, -1], strengths.T if self.nodal else window)
+        basis = self.basis(rng, M, ws.get("basis", (self.amp.size, M)), ws)
+        return ChannelDraw(self.synthesize(basis, ws), self.slots(basis)[1], basis)
 
-    def estimate(self, basis, W, ws=None):
-        """Error power and (M,) last-slot estimate of h_hat = R W for an (M, P) block W, in node coordinates.
+    def basis(self, rng, M, out, ws):
+        """The (Q, M) basis amp * g of one draw, into `out`."""
+        _white(rng, out.shape, ws, out)
+        return np.multiply(self.amp[:, None], out, out=out)
 
-        h_hat = a Phi_P^T with a = (W conj(Phi_P)) A, so the error against the
-        draw whose basis c is given is (c - a) Phi_P^T, and its mean power over
-        the window is sum_m e_m G e_m^H / (M P) with e = c - a. Only a nodal
-        model estimates; `ws` is not used.
-        """
-        window = self.synthesis.phases[: self.P]
-        # W conj(Phi_P) in one BLAS product with the conjugate transpose of
-        # Phi_P^T, so that no conjugate copy of the phases is kept
-        a = zgemm(1.0, W.T, window.T, trans_a=1, trans_b=2)
-        a *= self.amp**2
-        last = a @ window[-1]
-        a -= basis
-        return float(np.vdot(a, a @ self._gram).real) / W.size, last
+    def synthesize(self, basis, ws):
+        """The (M, P) window of the draw with this basis, in the workspace."""
+        synthesis, M = self.synthesis, basis.shape[1]
+        buffers = _nufft_buffers(synthesis, M, self.P, ws)
+        return synthesis(basis, out=ws.get("synthesis", (M * synthesis.N,)), **buffers)[:, : self.P]
+
+    def slots(self, basis):
+        """(2, M): slot P-1 and the downlink sample of the draw with this basis, one row product."""
+        return self.rows @ basis
+
+    def errors(self, D):
+        """Mean power over the window of the sums with each (Q, M) block d of D: sum_m d_m^H G^T d_m / (M P)."""
+        form = self._gram.T
+        return np.array([np.vdot(d, form @ d).real for d in D]) / (D.shape[-1] * self.P)
 
     def mse(self, power, noise_var):
         """Interference-free per-element MSE: sigma^2 (P - sigma^2 tr(B^{-1})) / (rho P).
@@ -457,18 +382,13 @@ def _scene(config, P, pilot_matrix):
     s.rho, s.sigma2 = config.user_power, config.noise_var
     s.sigma2_dl = s.sigma2 if config.dl_snr_db is None else s.rho / 10.0 ** (config.dl_snr_db / 10.0)
     s.pilot_matrix = pilot_matrix
-    # what a trial sends, sqrt(rho) x_k, and its estimator weights, sqrt(rho) conj(x_k)
+    # what a trial sends, sqrt(rho) x_k; its estimator weights are the conjugates
     s.tx = math.sqrt(s.rho) * pilot_matrix
-    s.weights = np.conj(s.tx)
-    # Hadamard pilots keep the exact model's window at any node count: on
-    # their window of K slots one batched dense product is faster than node
-    # coordinates user by user
+    # Hadamard pilots estimate by a dense product at any node count (`_setup`),
+    # so the exact model there is not nodal and its `mse` takes the Toeplitz route
     options = {"node_basis": config.scheme != "hadamard"} if config.channel_model == "exact" else {}
     s.user = model(DopplerSpectrum.clarke(config.max_doppler), P, config.dl_lag, **options)
     s.cont = None if cont is None else model(cont, P)
-    # the exact model above its node-basis crossover, or with Hadamard
-    # pilots, estimates in the time domain, together with each user's pilot
-    s.in_time = config.channel_model == "exact" and not s.user.nodal
     return s
 
 
@@ -477,14 +397,11 @@ def _setup(config, P):
 
     The scheme alone picks the window length, the pilots and the solver.
     Cyclic-shift pilots are exponential ramps, so E[y y^H] is Hermitian
-    Toeplitz and its first column determines it. Hadamard pilots take a window
-    of one slot per user and factor the dense matrix by Cholesky. Each builder
-    takes a (power, covariance, pilot) term per user, then the contamination's
-    unmodulated term, whose power is part of its spectrum. A model that
-    estimates on its own basis, the circulant model or a nodal exact model
-    (ramp pilots, few nodes), takes the users one at a time (`_each_user`);
-    any other exact model forms each user's product with R and its pilot in
-    the time domain.
+    Toeplitz and its first column determines it, and the users' part of y is
+    one transform over their shifted nodes (`stacked`). Hadamard pilots take a
+    window of one slot per user and factor the dense matrix by Cholesky. Each
+    builder takes a (power, covariance, pilot) term per user, then the
+    contamination's term. A trial `in_time` keeps what each user sent.
     """
     if config.scheme == "hadamard":
         P = config.users
@@ -495,23 +412,31 @@ def _setup(config, P):
             terms.append((1.0, s.cont.covariance(), None))
         factor = cho_factor(estimation.observation_matrix(P, s.sigma2, terms), lower=True)
         s.solve = lambda y, buffers: cho_solve(factor, y)
-        if s.in_time:
-            # Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)), transposed for the (M, P) layout
-            s.products = s.weights[:, :, None] * R.T * s.tx[:, None, :]
-            s.estimate = _dense_products
+        # Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)), transposed for the (M, P) layout
+        s.products = np.conj(s.tx)[:, :, None] * R.T * s.tx[:, None, :]
+        s.stacked, s.in_time, s.estimate = None, True, _dense_products
     else:
-        s = _scene(config, P, np.stack([pilots.fft_pilot(tau, P).values for tau in user_shifts(config, P)]))
+        shifts = np.array(user_shifts(config, P))
+        s = _scene(config, P, np.stack([pilots.fft_pilot(tau, P).values for tau in shifts]))
         r = s.user.column()
         terms = [(s.rho, r, x) for x in s.pilot_matrix]
         if s.cont is not None:
             terms.append((1.0, s.cont.column(), None))
         s.solve = ToeplitzInverse(estimation.observation_column(P, s.sigma2, terms)).solve
+        # gridded at any node count: its direct sum would keep a P x KQ phase matrix
+        # each node tau_k/P + xi_q as a double and the remainder of the sum (Knuth's two-sum)
+        a, b = (shifts / P)[:, None], s.user.nodes
+        nodes = a + b
+        low = (a - (nodes - (nodes - a))) + (b - (nodes - a))
+        s.stacked = Type1(nodes.ravel(), P, gridded=True, low=low.ravel())
+        s.in_time = not s.user.nodal
         if s.in_time:
             # a user's own term, rho Diag(x_k) R Diag(x_k)^H, is Hermitian Toeplitz
             s.products = ToeplitzProducts(estimation.observation_column(P, 0.0, [term]) for term in terms[: s.K])
             s.estimate = _shared_transforms
-    if not s.in_time:
-        s.estimate = _each_user
+        else:
+            s.gain = math.sqrt(s.rho) * s.user.gain[:, None]
+            s.estimate = _node_coordinates
     s.nmse_model = s.user.mse(s.rho, s.sigma2)
     snr = s.rho / s.sigma2
     s.nmse_analytic = estimation.small_alpha_mse(config.max_doppler, snr)
@@ -525,22 +450,32 @@ def _sound(s, rng, ws):
 
     Its blocks live in the workspace `ws`, which it overwrites.
     """
-    # fixed draw order: users, then contamination, then noise; each user's
-    # window is added to y as soon as it is drawn, and only its basis is kept
-    y = ws.get("y", (s.M, s.P))
-    y.fill(0)
+    # fixed draw order: users, then contamination, then noise
     truths = np.empty((s.K, s.M), dtype=complex)
     window_ends = np.empty_like(truths)
-    for k in range(s.K):
-        window, truths[k], basis = s.user.draw(rng, s.M, ws)
-        if k == 0:
-            kept = ws.get("bases", (s.K, *basis.shape))
-        if s.perfect_csi:
+    if s.stacked is None:
+        # each user's window becomes what it sent as soon as it is drawn
+        y = ws.get("y", (s.M, s.P))
+        y.fill(0)
+        kept = ws.get("sent", (s.K, s.M, s.P))
+        for k in range(s.K):
+            window, truths[k], _ = s.user.draw(rng, s.M, ws)
             window_ends[k] = window[:, -1]
-        y += np.multiply(s.tx[k], window, out=window)
-        # a basis that is the window (the exact model in the time domain)
-        # keeps the term the user sent
-        kept[k] = basis
+            y += np.multiply(s.tx[k], window, out=kept[k])
+    else:
+        kept = bases = ws.get("bases", (s.K, s.user.nodes.size, s.M))
+        for k in range(s.K):
+            window_ends[k], truths[k] = s.user.slots(s.user.basis(rng, s.M, bases[k], ws))
+        # what the users sent, sqrt(rho) x_k h_k: one transform of their strengths
+        strengths = np.multiply(bases, math.sqrt(s.rho), out=ws.get("strengths", bases.shape))
+        buffers = _nufft_buffers(s.stacked, s.M, s.P, ws)
+        y = s.stacked(strengths.reshape(-1, s.M), out=ws.get("y", (s.M * s.P,)), **buffers)
+        if s.in_time:
+            kept = ws.get("sent", (s.K, s.M, s.P))
+            for k in range(s.K):
+                # copied first: numpy buffers a product that reads a strided window
+                np.copyto(kept[k], s.user.synthesize(bases[k], ws))
+                np.multiply(s.tx[k], kept[k], out=kept[k])
     if s.cont is not None:
         y += s.cont.window(rng, s.M, ws)
     noise = _white(rng, (s.P, s.M), ws)
@@ -549,25 +484,25 @@ def _sound(s, rng, ws):
 
     rx_power = float(np.vdot(y, y).real) / y.size
 
-    blocks = ws.get("solve", (2, s.M, s.P))
+    # the solve works in place in y, with a second block in the grid buffer
+    blocks = (y, ws.get("grid", (s.M, s.P)))
     Z = s.solve(y.T, blocks).T
     nmse, last = s.estimate(s, Z, blocks, kept, ws)
     return nmse, rx_power, truths, window_ends if s.perfect_csi else last
 
 
-def _each_user(s, Z, blocks, kept, ws):
-    """The estimate stage that hands the model each user's weights times the solve's output.
+def _node_coordinates(s, Z, blocks, bases, ws):
+    """The estimate stage for ramp pilots in node coordinates: every user from one adjoint NUFFT.
 
-    The model's `estimate` turns that (M, P) block into the user's error
-    power and last-slot estimate against the basis the trial kept.
+    h_hat_k = sqrt(rho) R (conj(x_k) z) has node coordinates sqrt(rho) gain times the sums of
+    z at user k's shifted nodes, which the stacked transform's adjoint gives, into the strengths' block.
     """
-    W = blocks[1]  # the solve's work block, free once it returns
-    nmse = np.empty(s.K)
-    last = np.empty((s.K, s.M), dtype=complex)
-    for k in range(s.K):
-        # per-element error power == ||err||^2 / (P * r0) per antenna with r0 = 1
-        nmse[k], last[k] = s.user.estimate(kept[k], np.multiply(s.weights[k], Z, out=W), ws)
-    return nmse, last
+    buffers = _nufft_buffers(s.stacked, s.M, s.P, ws)
+    E = s.stacked.adjoint(Z, out=ws.get("strengths", (bases.size,)), **buffers).reshape(bases.shape)
+    E *= s.gain
+    last = np.matmul(s.user.rows[0], E)
+    E -= bases
+    return s.user.errors(E), last
 
 
 def _sent_errors(s, estimates, kept):
@@ -581,7 +516,7 @@ def _sent_errors(s, estimates, kept):
     nmse = np.empty(s.K)
     last = np.empty((s.K, s.M), dtype=complex)
     for k, (E, sent) in enumerate(zip(estimates, kept)):
-        np.multiply(E[:, -1], s.weights[k, -1] / s.rho, out=last[k])
+        np.multiply(E[:, -1], np.conj(s.tx[k, -1]) / s.rho, out=last[k])
         E -= sent
         nmse[k] = float(np.vdot(E, E).real) / (s.rho * E.size)
     return nmse, last
@@ -593,16 +528,16 @@ def _shared_transforms(s, Z, blocks, kept, ws):
     sqrt(rho) x_k h_hat_k = rho Diag(x_k) R Diag(x_k)^H z, and for a ramp x_k
     that matrix is Hermitian Toeplitz, `s.products`' k-th. Its products with
     z share fft(z) and fft(D z), taken in place in the solve's blocks, and
-    take two inverse FFTs each, in the blocks of y and of the noise's white
-    draw, which nothing reads once the solve returns.
+    take two inverse FFTs each, in the grid buffer's second block and the
+    noise's white draw, which nothing reads once the solve returns.
     """
     spectra = s.products.spectra(Z, out=blocks)  # Z is blocks[0]
-    E, work = ws.get("y", Z.shape), ws.get("white", Z.shape)
+    E, work = ws.get("grid", (2, *Z.shape))[1], ws.get("white", Z.shape)
     return _sent_errors(s, (s.products.product(k, spectra, E, work) for k in range(s.K)), kept)
 
 
 def _dense_products(s, Z, blocks, kept, ws):
-    """The exact model's estimate stage for Hadamard pilots, on their window of one slot per user.
+    """The estimate stage for Hadamard pilots, on their window of one slot per user.
 
     sqrt(rho) x_k h_hat_k = Diag(sqrt(rho) x_k) R Diag(conj(sqrt(rho) x_k)) z,
     a dense product with the P x P covariance: in the (M, P) layout, Z times

@@ -175,7 +175,7 @@ class ToeplitzInverse:
 
         The six FFTs run in place in two complex blocks shaped like Y.T and
         C-contiguous, `buffers[0]` and `buffers[1]` when given (the result is
-        a view of the first), allocated otherwise.
+        a view of the first, which may be Y.T itself), allocated otherwise.
         """
         Y = _rows(Y)
         Z, B = np.empty((2, *Y.shape), dtype=complex) if buffers is None else buffers

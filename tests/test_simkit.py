@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,8 +98,8 @@ class TestDeterminism:
         b = run_experiment(cfg)
         assert a == b
 
-    # at P=256 the default Clarke user's circulant support holds 246 bins
-    # (the FFT branch), at 40 Hz 19 (the restricted DFT)
+    # at P=256 the default Clarke user's circulant support holds 246 bins,
+    # at 40 Hz 19 (the ids name the two branches the circulant model had)
     @pytest.mark.parametrize("jobs", [2, 5, 13])
     @pytest.mark.parametrize(
         "model", [dict(), dict(doppler_hz=40.0), dict(channel_model="exact")], ids=["fft", "dft", "exact"]
@@ -123,9 +124,9 @@ class TestDeterminism:
 class TestWorkspace:
     """Every trial of a worker runs in one workspace, allocated by its first trial."""
 
-    # the default user's circulant support: 21 bins at P=512 (the restricted
-    # DFT) and 37 at P=1024 (the FFT branch); the exact model's eight users
-    # keep their strengths in the workspace and estimate in node coordinates
+    # the default user's circulant support: 21 bins at P=512 and 37 at
+    # P=1024; the exact model's eight users keep their strengths in the
+    # workspace; all of them estimate from the adjoint NUFFT
     @pytest.mark.parametrize(
         "channel_model,P,S",
         [("circulant", 512, 21), ("circulant", 1024, 37), ("exact", 512, None), ("exact", 1024, None)],
@@ -184,11 +185,11 @@ class TestWorkspace:
     # time domain); the contamination band grids either way
     @pytest.mark.parametrize("doppler_hz,nodal", [(10.0, True), (100.0, False)])
     def test_exact_trial_allocates_only_the_contaminations_spread(self, doppler_hz, nodal):
-        # after the first trial the draws write their sums and the gridded
-        # NUFFT's grid into the workspace; what a trial still allocates is the
-        # (G, 2M) float block of scipy's sparse spreading product, two (M, P)
-        # blocks at G = 2P (a trial allocated 5.0 blocks when the grid, the
-        # centred strengths and the sums were allocated by every draw)
+        # after the first trial the draws write their sums, and the gridded
+        # NUFFTs their grids and a chunk of antennas' spread at a time, into
+        # the workspace: a trial allocates under one (M, P) block (2.0 blocks
+        # when scipy allocated the (G, 2M) spreading product, 5.0 when the
+        # grid, the centred strengths and the sums were allocated by every draw)
         s = simkit._setup(ExperimentConfig(channel_model="exact", doppler_hz=doppler_hz), 1024)
         assert s.user.nodal is nodal and s.cont.synthesis.grid_size == 2 * s.P
         ws = simkit.Workspace()
@@ -199,16 +200,16 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.1 * s.M * s.P * np.dtype(complex).itemsize
+        assert peak < s.M * s.P * np.dtype(complex).itemsize
 
     def test_contamination_leaves_no_basis(self):
-        # the contamination's window is all a trial reads of it: its FFT-branch
-        # draw would gather a 16 x 4096 basis (1 MB) into the workspace
+        # the contamination's window is all a trial reads of it: its draw
+        # would gather a 16 x 4096 basis (1 MB) into the workspace
         s = simkit._setup(ExperimentConfig(), 4096)
-        assert s.cont._synthesis is None
         ws = simkit.Workspace()
         simkit._sound(s, np.random.default_rng(0), ws)
-        assert ws._buffers["basis"].size == s.M * s.user.support.size
+        assert "basis" not in ws._buffers
+        assert ws._buffers["bases"].size == s.K * s.M * s.user.support.size
 
 
 class TestUplinkStatistics:
@@ -322,7 +323,7 @@ class TestDownlink:
     def test_zero_norm_estimate_skipped_with_warning(self, caplog):
         cfg = small_config(users=2, trials=1, observation_length=64)
         s = simkit._setup(cfg, 64)
-        s.weights = np.zeros_like(s.weights)  # forces exactly-zero estimates
+        s.gain = np.zeros_like(s.gain)  # forces exactly-zero estimates
         with caplog.at_level(logging.WARNING, logger="psdalign.simkit"):
             _, _, truths, estimates = simkit._sound(s, np.random.default_rng(0), simkit.Workspace())
             se = simkit._matched_filter_se(s, truths, estimates)
@@ -392,40 +393,58 @@ class TestStructuredSolver:
 
     def test_exact_nodal_trial_takes_the_solves_transforms_alone(self, fft_lengths):
         # the default user, 48 nodes at P=1024, estimates in node coordinates:
-        # the solve's six transforms and the contamination's grid are all
+        # beside the solve's six transforms, the contamination's grid and the
+        # users' stacked NUFFT and its adjoint, all three of length 2048
         s = simkit._setup(ExperimentConfig(channel_model="exact"), 1024)
         assert s.user.nodal and s.user.amp.size == 48
         trial = self.trial_fft_lengths(s, fft_lengths)
+        assert s.cont.synthesis.grid_size == s.stacked.grid_size == 2048
         assert trial.count(s.P) == 6
-        assert trial.count(s.cont.synthesis.grid_size) == 1
-        assert len(trial) == 7
+        assert trial.count(2048) == 3
+        assert len(trial) == 9
+
+    def test_circulant_trial_takes_two_transforms_for_its_users(self, fft_lengths):
+        # the default P=4096 scene: the contamination's window and the solve's
+        # six, all of length P, and the stacked NUFFT and its adjoint on 2P
+        s = simkit._setup(ExperimentConfig(), 4096)
+        trial = self.trial_fft_lengths(s, fft_lengths)
+        assert s.stacked.grid_size == 2 * s.P
+        assert trial.count(s.P) == 7
+        assert trial.count(2 * s.P) == 2
+        assert len(trial) == 9
 
     def test_exact_trial_shares_its_forward_transforms(self, fft_lengths):
         # a fast user, 165 nodes at P=1024, is above the node-basis crossover:
         # fft(z) and fft(D z) serve all K users' products, two inverse FFTs
-        # each, beside the solve's six; the contamination's NUFFT grids on a
-        # longer grid (the users' bands still take the direct sum)
+        # each, beside the solve's six; the contamination's NUFFT and the
+        # users' stacked one grid on a longer grid (each user's own band
+        # still takes the direct sum)
         s = simkit._setup(ExperimentConfig(channel_model="exact", doppler_hz=100.0), 1024)
         assert s.K == 8
         assert not s.user.nodal and s.user.amp.size == 165 and not s.user.synthesis.gridded
         trial = self.trial_fft_lengths(s, fft_lengths)
         assert trial.count(s.P) == 2 + 2 * s.K + 6 == 24
-        assert len(trial) == 25
+        assert trial.count(2 * s.P) == 2
+        assert len(trial) == 26
 
     def test_exact_model_holds_no_synthesis_matrix(self):
         # the phase matrix of a direct synthesis of the contamination band
-        # alone would be 4096 x 5706 complex (374 MB)
+        # alone would be 4096 x 5706 complex (374 MB), and that of the users'
+        # stacked transform 4096 x 736 (48 MB)
         s = simkit._setup(ExperimentConfig(channel_model="exact"), 4096)
-        assert array_bytes(s.user) + array_bytes(s.cont) < 32e6
+        assert array_bytes(s.user) + array_bytes(s.cont) + array_bytes(s.stacked) < 32e6
 
     def test_circulant_bases_hold_the_support_alone(self):
         # a full-spectrum basis of the default P=4096 scene would be 16 x 4096
-        # complex (1 MB) a user; the two (P, S) phase matrices take 2.2 MB
+        # complex (1 MB) a user; the model keeps no phase matrix (the two
+        # (P, S) ones of the restricted DFT took 2.2 MB), and the stacked
+        # transform none of its P x KS = 4096 x 136 (8.9 MB) direct sum
         s = simkit._setup(ExperimentConfig(), 4096)
         S = s.user.support.size
-        assert S <= simkit.DFT_MAX_SUPPORT
-        assert s.user.draw(np.random.default_rng(0), s.M).basis.shape == (s.M, S)
-        assert array_bytes(s.user) < 3e6
+        assert s.user.draw(np.random.default_rng(0), s.M).basis.shape == (S, s.M)
+        assert s.stacked.gridded and s.stacked.nodes.size == s.K * S == 136
+        assert array_bytes(s.user) < 2e5  # lam and sqrt(P lam) on all bins: 96 KB
+        assert array_bytes(s.stacked) < 1e6
 
     @pytest.mark.parametrize("pilot_snr_db", [-10.0, 0.0, 20.0])
     def test_exact_model_mse_matches_dense_error_covariance(self, pilot_snr_db):
@@ -473,7 +492,8 @@ def time_domain_draw(model, rng, M, dl_lag):
     """(P, M) window and (M,) downlink sample of one draw, as the time-domain formulas give them."""
     if isinstance(model, simkit.CirculantModel):
         coeff = np.sqrt(model.lam)[:, None] * fading.complex_normal(rng, (model.P, M))
-        dl_phase = np.exp(2j * np.pi * np.arange(model.P) * (model.P - 1 + dl_lag) / model.P)
+        # the phase reduced exactly: n (P - 1 + dl_lag) mod P
+        dl_phase = np.exp(2j * np.pi * (np.arange(model.P) * (model.P - 1 + dl_lag) % model.P) / model.P)
         return math.sqrt(model.P) * np.fft.ifft(coeff, axis=0), dl_phase @ coeff / math.sqrt(model.P)
     block = model.synthesis(model.amp[:, None] * fading.complex_normal(rng, (model.amp.size, M))).T
     return block[: model.P], block[-1]
@@ -495,13 +515,10 @@ class TestChannelDraws:
             assert np.array_equal(draw.window.T, window)
 
 
-# at P=512 a Clarke user of F=0.03 has 31 support bins (the restricted DFT), of F=0.0315 33 (the FFTs)
-@pytest.mark.parametrize("name,F,fft", [("circulant", 0.03, False), ("circulant", 0.0315, True), ("exact", 0.03, False)])
-def test_window_alone_is_the_draws_window(name, F, fft):
+@pytest.mark.parametrize("name,F", [("circulant", 0.03), ("circulant", 0.0315), ("exact", 0.03)])
+def test_window_alone_is_the_draws_window(name, F):
     P, M = 512, 3
     model = simkit._MODELS[name](DopplerSpectrum.clarke(F), P, 1)
-    if name == "circulant":
-        assert (model._synthesis is None) == fft
     rng, other = np.random.default_rng(9), np.random.default_rng(9)
     window = model.window(rng, M).copy()
     assert np.array_equal(window, model.draw(other, M).window)
@@ -509,13 +526,28 @@ def test_window_alone_is_the_draws_window(name, F, fft):
     assert rng.random() == other.random()
 
 
+@pytest.mark.parametrize("channel_model", ["circulant", "exact"])
+@pytest.mark.parametrize("P", [512, 1024, 4096])
+def test_trial_takes_the_fixed_random_stream(channel_model, P):
+    # the draws keep their order and sizes: each user's white block (the whole
+    # (P, M) block for the circulant model, which keeps its support alone),
+    # then the contamination's and the noise's
+    s = simkit._setup(ExperimentConfig(channel_model=channel_model), P)
+    rng, bare = np.random.default_rng(11), np.random.default_rng(11)
+    simkit._sound(s, rng, simkit.Workspace())
+    if channel_model == "circulant":
+        user = cont = (P, s.M)
+    else:
+        user, cont = (s.user.amp.size, s.M), (s.cont.amp.size, s.M)
+    for shape in [user] * s.K + [cont, (P, s.M)]:
+        fading.complex_normal(bare, shape)
+    assert rng.random() == bare.random()
+
+
 class TestCirculantSupport:
     """The circulant model draws and estimates on the support of its clamped eigenvalues."""
 
-    # Clarke users at P=512 whose supports hold 31 and 33 bins, either side of the crossover
-    BELOW, ABOVE = 0.03, 0.0315
-
-    @pytest.mark.parametrize("F,power", [(0.002, 1.0), (ABOVE, 1.0), (0.05, 0.0)])
+    @pytest.mark.parametrize("F,power", [(0.002, 1.0), (0.0315, 1.0), (0.05, 0.0)])
     def test_draw_takes_the_full_random_stream(self, F, power):
         P, M = 512, 3
         model = simkit.CirculantModel(DopplerSpectrum.clarke(F, power=power), P)
@@ -524,35 +556,37 @@ class TestCirculantSupport:
         fading.complex_normal(bare, (P, M))
         assert rng.random() == bare.random()
 
-    @pytest.mark.parametrize("F,below", [(BELOW, True), (ABOVE, False)])
-    def test_branches_agree_at_the_crossover(self, monkeypatch, F, below):
-        P, M = 512, 3
-        spectrum = DopplerSpectrum.clarke(F)
-        model = simkit.CirculantModel(spectrum, P, dl_lag=1)
-        assert (model.support.size <= simkit.DFT_MAX_SUPPORT) == below
-        assert abs(model.support.size - simkit.DFT_MAX_SUPPORT) <= 1
-        # the same model forced onto the other branch
-        monkeypatch.setattr(simkit, "DFT_MAX_SUPPORT", 0 if below else P)
-        other = simkit.CirculantModel(spectrum, P, dl_lag=1)
-        assert (model._synthesis is None, other._synthesis is None) == (not below, below)
-        a, b = (m.draw(np.random.default_rng(4), M) for m in (model, other))
-        assert np.array_equal(a.basis, b.basis)
-        np.testing.assert_allclose(a.window, b.window, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a.downlink, b.downlink, rtol=0, atol=1e-12)
-        W = fading.complex_normal(np.random.default_rng(5), (M, P))
-        (error_a, last_a), (error_b, last_b) = model.estimate(a.basis, W), other.estimate(b.basis, W)
-        assert error_a == pytest.approx(error_b, rel=1e-12)
-        np.testing.assert_allclose(last_a, last_b, rtol=0, atol=1e-12)
+    # Clarke users whose supports hold 31 and 33 bins at P=512
+    @pytest.mark.parametrize("doppler_hz,S", [(150.0, 31), (157.5, 33)])
+    def test_node_coordinates_match_the_fft_estimate(self, doppler_hz, S):
+        # every user's error power and last-slot estimate from the adjoint
+        # NUFFT against its own FFT on the support, lam fft(sqrt(rho) conj(x_k) z),
+        # at the tolerances the restricted DFT and the FFTs agreed to. The
+        # ramp and the slot phases of the reference are reduced exactly
+        # (tau_k n mod P as a fraction), so that neither adds its own rounding
+        cfg = ExperimentConfig(doppler_hz=doppler_hz, users=2, shifts=(0.1, 0.6), antennas=3, contamination_inr_db=None)
+        s = simkit._setup(cfg, 512)
+        P, M, support = s.P, s.M, s.user.support
+        assert support.size == S
+        bases = fading.complex_normal(np.random.default_rng(4), (s.K, S, M))
+        Z = fading.complex_normal(np.random.default_rng(5), (M, P))
+        errors, last = simkit._node_coordinates(s, Z, None, bases, simkit.Workspace())
+        for k, tau in enumerate(simkit.user_shifts(cfg, P)):
+            turns = np.array([float(Fraction(tau) * n % P) for n in range(P)])
+            E = np.fft.fft(math.sqrt(s.rho) * np.exp(-2j * np.pi * turns / P) * Z)[:, support] * s.user.lam[support]
+            c = P * bases[k].T  # the spectrum on the support
+            assert errors[k] == pytest.approx(np.vdot(E - c, E - c).real / (M * P * P), rel=1e-12)
+            want = E @ np.exp(2j * np.pi * (support * (P - 1) % P) / P) / P
+            np.testing.assert_allclose(last[k], want, rtol=0, atol=1e-12)
 
     def test_empty_support_draws_zeros(self):
         P, M = 32, 2
         model = simkit.CirculantModel(DopplerSpectrum.clarke(0.05, power=0.0), P)
         assert model.support.size == 0
         draw = model.draw(np.random.default_rng(6), M)
-        assert draw.basis.shape == (M, 0)
         assert np.all(draw.window == 0) and np.all(draw.downlink == 0)
-        error, last = model.estimate(draw.basis, fading.complex_normal(np.random.default_rng(7), (M, P)))
-        assert error == 0.0 and np.all(last == 0)
+        assert draw.basis.shape == (0, M)
+        assert model.errors(draw.basis[None]) == 0.0 and np.all(model.slots(draw.basis) == 0)
 
 
 class TestExactNodeBasis:
@@ -571,7 +605,7 @@ class TestExactNodeBasis:
         monkeypatch.setattr(simkit, "NODE_BASIS_PER_OCTAVE", 0 if below else math.inf)
         other = simkit._setup(cfg, 512)
         assert other.user.nodal != below
-        assert (s.estimate is simkit._each_user, other.estimate is simkit._each_user) == (below, not below)
+        assert (s.estimate is simkit._node_coordinates, other.estimate is simkit._node_coordinates) == (below, not below)
         a, b = (simkit._sound(t, np.random.default_rng(4), simkit.Workspace()) for t in (s, other))
         (nmse_a, rx_a, truths_a, last_a), (nmse_b, rx_b, truths_b, last_b) = a, b
         # the same draws
@@ -588,8 +622,11 @@ class TestExactNodeBasis:
         s = simkit._setup(cfg, 512)
         assert s.user.amp.size == 21 < simkit.NODE_BASIS_PER_OCTAVE * math.log2(2 * (s.P + cfg.dl_lag))
         assert not s.user.nodal and s.estimate is simkit._dense_products
-        draw = s.user.draw(np.random.default_rng(0), s.M)
-        assert draw.basis is draw.window
+        # so do the circulant model's: Hadamard pilots are not ramps, so no
+        # stacked transform forms y, and each trial keeps what each user sent
+        circulant = simkit._setup(ExperimentConfig(scheme="hadamard", doppler_hz=10.0), 512)
+        assert circulant.estimate is simkit._dense_products
+        assert s.stacked is None and circulant.stacked is None and s.in_time and circulant.in_time
 
 
 class TestTrialAgainstDenseOracle:
@@ -600,9 +637,8 @@ class TestTrialAgainstDenseOracle:
     (conj(x_k) z) with the model's P x P covariance.
     Ramp pilots take the structured solver; Hadamard pilots, on a window of
     one slot per user, the dense one. Dopplers from 10 to 1250 Hz (F from
-    0.002 to 0.25) put circulant supports on both sides of the crossover
-    between the restricted DFT and the FFTs, and exact-model users on both
-    sides of the node basis's (recorded as hypothesis events).
+    0.002 to 0.25) put exact-model users on both sides of the node basis's
+    crossover (recorded as hypothesis events).
     """
 
     @given(
